@@ -14,14 +14,12 @@ from .series import (InfeasibleScalesError, ScaleSet, SeriesPair,
 from .fluctuation import (FluctuationSet, HurstEstimate, dcca_coeff,
                           detrend_window, fluctuation_analysis,
                           hurst_estimate, rho_dcca, sign_log)
-from .fbm import (CovBlock, FbmParams, fbm_auto_cov, fbm_cross_cov,
-                  fgn_autocov, fgn_cross_cov, window_cov_block)
-from .asymptotics import (CovTable, NullCovariance, dfa_dcca_cross_cov_check,
-                          fluct_cov_exact, fluct_mean_exact, load_covtab,
-                          rho_null_cov, save_covtab, tabulate,
-                          worst_case_cov)
-from .testkit import (TestConfig, TestOutcome, crit_threshold,
-                      exceedance_prob_mc, pvalue_bound_kappa, stat_dcca,
+from .fbm import (FbmParams, fbm_auto_cov, fbm_cross_cov, fgn_autocov,
+                  fgn_cross_cov)
+from .asymptotics import (CovTable, NullCovariance, fluct_cov_exact,
+                          fluct_mean_exact, load_covtab, rho_null_cov,
+                          save_covtab, tabulate, worst_case_cov)
+from .testkit import (NullTail, TestConfig, TestOutcome, stat_dcca,
                       test_statistic)
 from .simulate import (SimSpec, add_trend, gen_bfgn, gen_mixture,
                        gen_nongaussian, generate)
@@ -32,13 +30,12 @@ __all__ = [
     "load_pair", "make_scales", "write_pair",
     "FluctuationSet", "HurstEstimate", "dcca_coeff", "detrend_window",
     "fluctuation_analysis", "hurst_estimate", "rho_dcca", "sign_log",
-    "CovBlock", "FbmParams", "fbm_auto_cov", "fbm_cross_cov", "fgn_autocov",
-    "fgn_cross_cov", "window_cov_block",
-    "CovTable", "NullCovariance", "dfa_dcca_cross_cov_check",
-    "fluct_cov_exact", "fluct_mean_exact", "load_covtab", "rho_null_cov",
-    "save_covtab", "tabulate", "worst_case_cov",
-    "TestConfig", "TestOutcome", "crit_threshold", "exceedance_prob_mc",
-    "pvalue_bound_kappa", "stat_dcca", "test_statistic",
+    "FbmParams", "fbm_auto_cov", "fbm_cross_cov", "fgn_autocov",
+    "fgn_cross_cov",
+    "CovTable", "NullCovariance", "fluct_cov_exact", "fluct_mean_exact",
+    "load_covtab", "rho_null_cov", "save_covtab", "tabulate",
+    "worst_case_cov",
+    "NullTail", "TestConfig", "TestOutcome", "stat_dcca", "test_statistic",
     "SimSpec", "add_trend", "gen_bfgn", "gen_mixture", "gen_nongaussian",
     "generate",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -157,22 +157,6 @@ def fluct_cov_exact(n: int, m: int, j: int, hurst1: float, hurst2: float,
         return 2.0 * float(_cross_cov_disp_batch(
             n, m, np.array([j * n]), hurst1, hurst1, degree)[0])
     raise ValueError(f"unknown covariance kind {kind!r}")
-
-
-def dfa_dcca_cross_cov_check(n: int, j: int, hurst1: float,
-                             hurst2: float) -> float:
-    """Covariance of the DCCA and DFA statistics under the null.
-
-    Equals 2 trace(Q A_auto Q A_cross^T); the cross block of independent
-    components is the zero matrix, so the value is exactly 0 for every
-    window pair.  Kept as an explicit self-check because the
-    delta-method covariance relies on it.
-    """
-    if n < 2 or j < 0:
-        raise ValueError("need n >= 2 and j >= 0")
-    if not (0.5 <= hurst1 < 1.0 and 0.5 <= hurst2 < 1.0):
-        raise ValueError("Hurst exponents must lie in [0.5, 1)")
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +416,16 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
              ratios=DEFAULT_RATIOS, degree: int = 1,
              tail_tol: float = DEFAULT_TAIL_TOL,
              resume_from: CovTable | None = None,
-             progress=None, checkpoint=None,
-             precomputed: dict | None = None) -> CovTable:
+             progress=None, checkpoint=None, mapper=map) -> CovTable:
     """Tabulate variance limits, ratio correlations and scaled means.
 
     The (H, G) sweep exploits symmetry of the cross statistics, filling
     both triangles from one computation.  ``resume_from`` supplies a
     partially filled table whose finite entries are kept; ``progress``
     is an optional callback(done, total, h, g); ``checkpoint`` receives
-    a snapshot table after each newly computed entry; ``precomputed``
-    maps upper-triangle index pairs to results of :func:`tabulate_pair`.
+    a snapshot table after each newly computed entry.  The missing
+    entries are computed by ``mapper(fn, hs, gs)``, the built-in ``map``
+    or any order-preserving replacement such as a process pool's.
     """
     grid = np.asarray(sorted(set(float(h) for h in grid)))
     if len(grid) < 1 or grid[0] < 0.5 - 1e-12 or grid[-1] >= 1.0:
@@ -480,23 +464,20 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
                         offsets_used=offsets_used, tail_tol=tail_tol)
 
     pairs = [(i, j) for i in range(nh) for j in range(i, nh)]
-    done = 0
-    for i, j in pairs:
-        h, g = float(grid[i]), float(grid[j])
-        done += 1
-        if not (np.isnan(variance[i, j])
-                or np.isnan(correlation[:, i, j]).any()):
-            continue
-        if precomputed is not None and (i, j) in precomputed:
-            scaled_var, corrs, jmax = precomputed[(i, j)]
-        else:
-            scaled_var, corrs, jmax = tabulate_pair(h, g, n_tab, sizes,
-                                                    degree, tail_tol)
+    todo = [k for k, (i, j) in enumerate(pairs)
+            if np.isnan(variance[i, j])
+            or np.isnan(correlation[:, i, j]).any()]
+    work = partial(tabulate_pair, n_tab=n_tab, sizes=sizes, degree=degree,
+                   tail_tol=tail_tol)
+    results = mapper(work, [float(grid[pairs[k][0]]) for k in todo],
+                     [float(grid[pairs[k][1]]) for k in todo])
+    for k, (scaled_var, corrs, jmax) in zip(todo, results):
+        i, j = pairs[k]
         variance[i, j] = variance[j, i] = scaled_var
         offsets_used[i, j] = offsets_used[j, i] = jmax
         correlation[:, i, j] = correlation[:, j, i] = corrs
         if progress is not None:
-            progress(done, len(pairs), h, g)
+            progress(k + 1, len(pairs), float(grid[i]), float(grid[j]))
         if checkpoint is not None:
             checkpoint(snapshot())
 

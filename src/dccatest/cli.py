@@ -17,14 +17,15 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import (CovTable, DEFAULT_RATIOS, DEFAULT_TAIL_TOL,
-                          load_covtab, loads_covtab, ratio_window_sizes,
-                          save_covtab, tabulate, tabulate_pair)
+                          load_covtab, loads_covtab, save_covtab, tabulate)
 from .fbm import FbmParams
 from .fluctuation import sign_log
 from .series import InfeasibleScalesError, load_pair, make_scales, write_pair
@@ -91,6 +92,22 @@ def _load_table(path: str | None) -> tuple[CovTable, str, str]:
     with open(path, "rb") as fh:
         raw = fh.read()
     return load_covtab(path), path, hashlib.sha256(raw).hexdigest()
+
+
+@contextmanager
+def _mapper(jobs: int, chunksize: int = 1):
+    """The built-in ``map`` for one job, else a process pool's ``map``;
+    both yield results in input order."""
+    if jobs <= 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # Spawned workers start from a fresh import: forking a process whose
+    # BLAS may already run threads is unsafe.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        yield partial(pool.map, chunksize=chunksize)
 
 
 def _emit(text: str, out_path: str | None):
@@ -272,53 +289,21 @@ def cmd_tabulate(args) -> int:
     def progress(done, total, h, g):
         print(f"  [{done}/{total}] H={h:.2f} G={g:.2f}", flush=True)
 
-    if args.jobs > 1:
-        table = _tabulate_parallel(grid, args, ratios, resume_from)
-    else:
-        state = {"last_save": time.monotonic()}
+    state = {"last_save": time.monotonic()}
 
-        def checkpoint(snapshot):
-            if time.monotonic() - state["last_save"] > 60:
-                save_covtab(snapshot, args.out)
-                state["last_save"] = time.monotonic()
+    def checkpoint(snapshot):
+        if time.monotonic() - state["last_save"] > 60:
+            save_covtab(snapshot, args.out)
+            state["last_save"] = time.monotonic()
 
+    with _mapper(args.jobs) as mapper:
         table = tabulate(grid=grid, n_tab=args.n_tab, ratios=ratios,
                          degree=args.degree, tail_tol=args.tail_tol,
                          resume_from=resume_from, progress=progress,
-                         checkpoint=checkpoint)
+                         checkpoint=checkpoint, mapper=mapper)
     save_covtab(table, args.out)
     print(f"wrote {args.out}")
     return 0
-
-
-def _tabulate_parallel(grid, args, ratios, resume_from) -> CovTable:
-    """Grid points are independent; farm them out to worker processes."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    grid = np.asarray(sorted(set(float(h) for h in grid)))
-    sizes = ratio_window_sizes(args.n_tab, ratios, args.degree)
-    pairs = []
-    for i in range(len(grid)):
-        for j in range(i, len(grid)):
-            if resume_from is not None and not np.isnan(
-                    resume_from.variance[i, j]):
-                continue
-            pairs.append((i, j))
-    results = {}
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {
-            pool.submit(tabulate_pair, float(grid[i]), float(grid[j]),
-                        args.n_tab, sizes, args.degree, args.tail_tol): (i, j)
-            for i, j in pairs
-        }
-        for done, fut in enumerate(as_completed(futures), start=1):
-            i, j = futures[fut]
-            results[(i, j)] = fut.result()
-            print(f"  [{done}/{len(pairs)}] H={grid[i]:.2f} G={grid[j]:.2f}",
-                  flush=True)
-    return tabulate(grid=grid, n_tab=args.n_tab, ratios=ratios,
-                    degree=args.degree, tail_tol=args.tail_tol,
-                    resume_from=resume_from, precomputed=results)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +313,17 @@ def _tabulate_parallel(grid, args, ratios, resume_from) -> CovTable:
 def cmd_study(args) -> int:
     table, _, _ = _load_table(args.table)
     common = dict(mc_samples=args.mc_samples, seed=args.seed)
+    with _mapper(args.jobs, chunksize=16) as mapper:
+        result, summary = _run_study(args, table, common, mapper)
+    meta = [f"dccatest {__version__} study={args.study} seed={args.seed}",
+            summary]
+    _write_rows_csv(result["rows"], args.out, header_comment=meta)
+    print(f"{args.study}: {summary}", file=sys.stderr)
+    return 0
 
+
+def _run_study(args, table, common, mapper) -> tuple[dict, str]:
+    """Result and one-line summary of the requested study."""
     def progress(done, total):
         if done % max(1, total // 20) == 0:
             print(f"  {done}/{total}", flush=True)
@@ -336,18 +331,18 @@ def cmd_study(args) -> int:
     if args.study == "calibration":
         result = studies_mod.null_calibration(
             table, replicates=args.replicates, n_samples=args.n_samples,
-            level=args.level, progress=progress, jobs=args.jobs, **common)
+            level=args.level, progress=progress, mapper=mapper, **common)
         summary = f"rejection rate {result['rejection_rate']:.4f}"
     elif args.study == "nongaussian":
         result = studies_mod.null_calibration(
             table, kind="nongaussian", phi=args.phi,
             replicates=args.replicates, n_samples=args.n_samples,
-            level=args.level, progress=progress, jobs=args.jobs, **common)
+            level=args.level, progress=progress, mapper=mapper, **common)
         summary = f"rejection rate {result['rejection_rate']:.4f}"
     elif args.study == "shortrange":
         result = studies_mod.shortrange_robustness(
             table, replicates=args.replicates, n_samples=args.n_samples,
-            level=args.level, progress=progress, jobs=args.jobs, **common)
+            level=args.level, progress=progress, mapper=mapper, **common)
         summary = (f"joint {result['joint_rate']:.4f} vs bonferroni "
                    f"{result['bonferroni_rate']:.4f}")
     elif args.study == "upperbound":
@@ -360,7 +355,7 @@ def cmd_study(args) -> int:
         result = studies_mod.power_study(
             table, rhos=rhos, replicates=args.replicates,
             n_samples=args.n_samples, level=args.level, progress=progress,
-            jobs=args.jobs, **common)
+            mapper=mapper, **common)
         summary = " ".join(f"rho={k}:{v:.3f}" for k, v in
                            result["rates"].items())
     elif args.study == "speed":
@@ -370,12 +365,7 @@ def cmd_study(args) -> int:
         summary = f"speedup {result['speedup']:.1f}x"
     else:
         raise ValueError(f"unknown study {args.study!r}")
-
-    meta = [f"dccatest {__version__} study={args.study} seed={args.seed}",
-            summary]
-    _write_rows_csv(result["rows"], args.out, header_comment=meta)
-    print(f"{args.study}: {summary}", file=sys.stderr)
-    return 0
+    return result, summary
 
 
 # ---------------------------------------------------------------------------

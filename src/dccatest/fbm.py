@@ -4,8 +4,8 @@ The cross kernel has two branches depending on whether the sum of the
 two Hurst exponents equals 1; the branch switch happens inside a 1e-9
 band around 1, where the logarithmic form applies.  Auto kernels use
 the standard fBm covariance, which is a valid positive-semidefinite
-kernel on the whole real line, so window blocks may be built at
-negative times (two-sided fBm with stationary increments).
+kernel on the whole real line, so it may be evaluated at negative
+times (two-sided fBm with stationary increments).
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import numpy as np
 
 # Branch-switch tolerance on |H + G - 1|.
 _LOG_BRANCH_TOL = 1e-9
-
-# Dense covariance blocks are capped for memory predictability.
-MAX_BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -144,84 +141,3 @@ def fgn_cross_cov(k, params: FbmParams) -> float | np.ndarray:
     if val.ndim == 0:
         return float(val)
     return val
-
-
-@dataclass(frozen=True)
-class CovBlock:
-    """Covariance matrix between two fBm windows.
-
-    Row window: times 1..n.  Column window: times offset+1..offset+m,
-    where offset is expressed in samples.  ``kind`` is one of
-    'auto1', 'auto2', 'cross'.
-    """
-
-    matrix: np.ndarray
-    row_scale: int
-    col_scale: int
-    offset: int
-    kind: str
-
-
-def _check_block_size(n: int, m: int):
-    if n < 2 or m < 2:
-        raise ValueError("window covariance blocks need sizes >= 2")
-    if n > MAX_BLOCK_SIZE or m > MAX_BLOCK_SIZE:
-        raise ValueError(
-            f"block size {max(n, m)} exceeds cap {MAX_BLOCK_SIZE}"
-        )
-
-
-def auto_block(n: int, m: int, offset: int, hurst: float,
-               sigma: float = 1.0) -> np.ndarray:
-    """n-by-m auto-covariance block E(X(a) X(offset+b)), a=1..n, b=1..m.
-
-    ``offset`` is a displacement in samples and may be negative; the
-    two-sided fBm kernel keeps the block exact in that case.
-    """
-    _check_block_size(n, m)
-    a = np.arange(1, n + 1, dtype=float)[:, None]
-    b = offset + np.arange(1, m + 1, dtype=float)[None, :]
-    return fbm_auto_cov(a, b, hurst, sigma)
-
-
-def cross_block(n: int, m: int, offset: int, params: FbmParams) -> np.ndarray:
-    """n-by-m cross block E(X1(a) X2(offset+b)); zero under the null."""
-    _check_block_size(n, m)
-    if params.is_null:
-        return np.zeros((n, m))
-    if offset < 0:
-        raise ValueError("cross blocks support non-negative offsets only")
-    a = np.arange(1, n + 1, dtype=float)[:, None]
-    b = offset + np.arange(1, m + 1, dtype=float)[None, :]
-    return np.asarray(fbm_cross_cov(a, b, params))
-
-
-def window_cov_block(n: int, m: int, j: int, params: FbmParams,
-                     kind: str = "auto1") -> CovBlock:
-    """Covariance block between window 1 of size n and a window of size m
-    starting j row-windows later (times a and j*n + b).
-
-    Auto blocks with j = 0 are validated positive semidefinite
-    (smallest eigenvalue >= -1e-8 * trace).
-    """
-    if j < 0:
-        raise ValueError("window offset must be non-negative")
-    offset = j * n
-    if kind == "auto1":
-        mat = auto_block(n, m, offset, params.hurst1, params.sigma1)
-    elif kind == "auto2":
-        mat = auto_block(n, m, offset, params.hurst2, params.sigma2)
-    elif kind == "cross":
-        mat = cross_block(n, m, offset, params)
-    else:
-        raise ValueError(f"unknown block kind {kind!r}")
-    if kind.startswith("auto") and j == 0 and n == m:
-        eigmin = float(np.linalg.eigvalsh(mat)[0])
-        tol = 1e-8 * float(np.trace(mat))
-        if eigmin < -tol:
-            raise RuntimeError(
-                f"auto covariance block failed PSD check: "
-                f"eigmin={eigmin:.3e}"
-            )
-    return CovBlock(matrix=mat, row_scale=n, col_scale=m, offset=offset,
-                    kind=kind)

@@ -142,6 +142,29 @@ def _parse_columns(path: str) -> np.ndarray:
     '#'-prefixed lines are ignored; a single leading non-numeric line is
     treated as a header and skipped.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in map(str.strip, fh) if ln and ln[0] != "#"]
+    if lines:
+        first = lines[0]
+        sep = "," if "," in first else "\t" if "\t" in first else None
+        # numpy's reader converts each field as float() does, and fails
+        # on a header, a blank field or a line that splits differently
+        # from the first.  Then, and for whitespace-separated lines with
+        # tabs (split at the tabs alone below), the file is read line
+        # by line.
+        if sep is not None or not any("\t" in ln for ln in lines):
+            try:
+                return np.loadtxt(lines, delimiter=sep, comments=None,
+                                  ndmin=2)
+            except ValueError:
+                pass
+    return _parse_lines(path)
+
+
+def _parse_lines(path: str) -> np.ndarray:
+    """Line-by-line reader behind :func:`_parse_columns`: each line is
+    split at commas if it has any, else at tabs if it has any, else at
+    whitespace, and blank fields are dropped."""
     rows = []
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .fbm import FbmParams, fgn_autocov, fgn_cross_cov
 from .series import SeriesPair
@@ -201,7 +200,7 @@ def _bfgn_from_rng(n: int, params: FbmParams, rng: np.random.Generator,
 
 def _signed_power_std(phi: float) -> float:
     """Standard deviation of sign(g)|g|^phi for g ~ N(0, 1)."""
-    return math.sqrt(2.0 ** phi * _gamma_fn(phi + 0.5) / math.sqrt(math.pi))
+    return math.sqrt(2.0 ** phi * math.gamma(phi + 0.5) / math.sqrt(math.pi))
 
 
 def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:

@@ -10,16 +10,17 @@ not depend on scheduling.
 from __future__ import annotations
 
 import time
+from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .asymptotics import CovTable, rho_null_cov, worst_case_cov
 from .fbm import FbmParams
 from .fluctuation import fluctuation_analysis
 from .series import make_scales
 from .simulate import SimSpec, generate
-from .testkit import GaussianTailPool, scaled_rho, test_statistic
+from .testkit import NullTail, scaled_rho, test_statistic
 
 STUDY_NAMES = ("calibration", "nongaussian", "shortrange", "upperbound",
                "power", "speed")
@@ -35,70 +36,62 @@ def _rho_vectors(kind: str, params: FbmParams, n_samples: int, scale_set,
                  replicates: int, seed: int, phi: float = 3.0,
                  weight: float = 0.5, cutoff: float = 0.45,
                  sr_rho: float = 0.5, progress=None,
-                 jobs: int = 1) -> np.ndarray:
+                 mapper=map) -> np.ndarray:
     """Scaled rho vectors of simulated pairs, one row per replicate.
 
-    Replicate streams derive from (seed, index), so parallel execution
-    reproduces the serial output exactly, in index order.
+    Replicate streams derive from (seed, index), so any order-preserving
+    ``mapper`` (the built-in ``map`` or a process pool's ``map``)
+    reproduces the serial output exactly.
     """
     counts = scale_set.window_counts(n_samples)
     spec = SimSpec(kind=kind, n_samples=n_samples, params=params, phi=phi,
                    weight=weight, cutoff=cutoff, sr_rho=sr_rho, seed=seed)
+    work = partial(_one_rho_vector, spec, scale_set, counts)
     out = np.empty((replicates, scale_set.r))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-        work = partial(_one_rho_vector, spec, scale_set, counts)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, vec in enumerate(pool.map(work, range(replicates),
-                                             chunksize=16)):
-                out[i] = vec
-                if progress is not None:
-                    progress(i + 1, replicates)
-        return out
-    for i in range(replicates):
-        out[i] = _one_rho_vector(spec, scale_set, counts, i)
+    for i, vec in enumerate(mapper(work, range(replicates))):
+        out[i] = vec
         if progress is not None:
             progress(i + 1, replicates)
     return out
+
+
+def _score(tail: NullTail, vectors: np.ndarray, cov, level: float):
+    """Statistics, p-values (as lists) and rejections of all replicates."""
+    stats = test_statistic(vectors, cov, cov.r)
+    p_vals, _ = tail.p_values(stats)
+    return stats.tolist(), p_vals.tolist(), p_vals <= level
 
 
 def null_calibration(table: CovTable, *, kind: str = "bfgn",
                      hurst1: float = 0.7, hurst2: float = 0.8,
                      n_samples: int = 10_000, replicates: int = 2000,
                      level: float = 0.05, n_min: int = 20, n_max: int = 500,
-                     r: int = 10, degree: int = 1, kappa: int | None = None,
-                     phi: float = 3.0, mc_samples: int = 400_000,
-                     seed: int = 0, progress=None, jobs: int = 1) -> dict:
-    """Type I error rate of the test on independent simulated pairs.
+                     r: int = 10, degree: int = 1, phi: float = 3.0,
+                     mc_samples: int = 400_000, seed: int = 0,
+                     progress=None, mapper=map) -> dict:
+    """Type I error rate of the test (kappa = r) on independent simulated
+    pairs.
 
     The null covariance and threshold are computed once (the Hurst
-    exponents are known by construction), then every replicate is scored
-    against the shared Monte Carlo pool.
+    exponents are known by construction), then all replicates are scored
+    against the shared Monte Carlo null in one call.
     """
     scale_set = make_scales(n_samples, n_min, n_max, r, degree)
     params = FbmParams(hurst1=hurst1, hurst2=hurst2, rho=0.0)
     cov = rho_null_cov(scale_set.scales, n_samples, hurst1, hurst2, table,
                        degree)
-    kappa = scale_set.r if kappa is None else kappa
-    pool = GaussianTailPool(cov.matrix, kappa, mc_samples, seed)
-    theta_star = pool.threshold(level)
+    tail = NullTail(cov, scale_set.r, mc_samples, seed)
+    theta_star = tail.threshold(level)
 
     vectors = _rho_vectors(kind, params, n_samples, scale_set, replicates,
-                           seed, phi=phi, progress=progress, jobs=jobs)
-    rows = []
-    rejections = 0
-    for i, vec in enumerate(vectors):
-        t_obs = test_statistic(vec, cov, kappa)
-        p_val = pool.prob_above(t_obs)[0]
-        reject = p_val <= level
-        rejections += reject
-        rows.append({"replicate": i, "statistic": t_obs, "p_value": p_val,
-                     "reject": int(reject)})
+                           seed, phi=phi, progress=progress, mapper=mapper)
+    stats, p_vals, reject = _score(tail, vectors, cov, level)
+    rows = [{"replicate": i, "statistic": t, "p_value": p, "reject": int(x)}
+            for i, (t, p, x) in enumerate(zip(stats, p_vals, reject))]
     return {
         "study": "calibration" if kind == "bfgn" else kind,
         "rows": rows,
-        "rejection_rate": rejections / replicates,
+        "rejection_rate": int(reject.sum()) / replicates,
         "theta_star": theta_star,
         "level": level,
         "scales": list(scale_set.scales),
@@ -112,7 +105,7 @@ def shortrange_robustness(table: CovTable, *, hurst: float = 0.9,
                           n_max: int = 1000, r: int = 10, degree: int = 1,
                           weight: float = 0.5, cutoff: float = 0.45,
                           sr_rho: float = 0.5, mc_samples: int = 400_000,
-                          seed: int = 0, progress=None, jobs: int = 1) -> dict:
+                          seed: int = 0, progress=None, mapper=map) -> dict:
     """Joint test versus per-scale Bonferroni on long-range-null mixtures.
 
     The mixtures are long-range independent but short-range correlated;
@@ -123,32 +116,24 @@ def shortrange_robustness(table: CovTable, *, hurst: float = 0.9,
     params = FbmParams(hurst1=hurst, hurst2=hurst, rho=0.0)
     cov = rho_null_cov(scale_set.scales, n_samples, hurst, hurst, table,
                        degree)
-    kappa = scale_set.r
-    pool = GaussianTailPool(cov.matrix, kappa, mc_samples, seed)
-    theta_star = pool.threshold(level)
-    z_bonf = norm.ppf(1.0 - level / (2.0 * scale_set.r))
+    tail = NullTail(cov, scale_set.r, mc_samples, seed)
+    theta_star = tail.threshold(level)
+    z_bonf = NormalDist().inv_cdf(1.0 - level / (2.0 * scale_set.r))
     diag_std = np.sqrt(np.diag(cov.matrix))
 
     vectors = _rho_vectors("mixture", params, n_samples, scale_set,
                            replicates, seed, weight=weight, cutoff=cutoff,
-                           sr_rho=sr_rho, progress=progress, jobs=jobs)
-    rows = []
-    joint = bonf = 0
-    for i, vec in enumerate(vectors):
-        t_obs = test_statistic(vec, cov, kappa)
-        p_val = pool.prob_above(t_obs)[0]
-        reject_joint = p_val <= level
-        reject_bonf = bool(np.any(np.abs(vec) / diag_std > z_bonf))
-        joint += reject_joint
-        bonf += reject_bonf
-        rows.append({"replicate": i, "statistic": t_obs, "p_value": p_val,
-                     "reject_joint": int(reject_joint),
-                     "reject_bonferroni": int(reject_bonf)})
+                           sr_rho=sr_rho, progress=progress, mapper=mapper)
+    stats, p_vals, joint = _score(tail, vectors, cov, level)
+    bonf = np.any(np.abs(vectors) / diag_std > z_bonf, axis=1)
+    rows = [{"replicate": i, "statistic": t, "p_value": p,
+             "reject_joint": int(x), "reject_bonferroni": int(b)}
+            for i, (t, p, x, b) in enumerate(zip(stats, p_vals, joint, bonf))]
     return {
         "study": "shortrange",
         "rows": rows,
-        "joint_rate": joint / replicates,
-        "bonferroni_rate": bonf / replicates,
+        "joint_rate": int(joint.sum()) / replicates,
+        "bonferroni_rate": int(bonf.sum()) / replicates,
         "theta_star": theta_star,
         "level": level,
         "scales": list(scale_set.scales),
@@ -173,8 +158,7 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
 
     wc = worst_case_cov(scales, n_samples, (grid[0], grid[-1]),
                         (grid[0], grid[-1]), table, degree)
-    wc_pool = GaussianTailPool(wc.matrix, scale_set.r, mc_samples, seed)
-    wc_theta = wc_pool.threshold(level)
+    wc_theta = NullTail(wc, scale_set.r, mc_samples, seed).threshold(level)
     wc_bounds = wc.rho_bounds(wc_theta)
 
     rows = []
@@ -184,9 +168,8 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
         for g in grid:
             cov = rho_null_cov(scales, n_samples, float(h), float(g), table,
                                degree)
-            pool = GaussianTailPool(cov.matrix, scale_set.r, mc_samples,
-                                    seed)
-            theta = pool.threshold(level)
+            theta = NullTail(cov, scale_set.r, mc_samples,
+                             seed).threshold(level)
             bounds = cov.rho_bounds(theta)
             exceed = int(np.any(bounds > wc_bounds + 1e-12))
             violations += exceed
@@ -215,7 +198,7 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
                 n_samples: int = 40_000, replicates: int = 100,
                 level: float = 0.05, n_min: int = 20, n_max: int = 2000,
                 r: int = 10, degree: int = 1, mc_samples: int = 400_000,
-                seed: int = 0, progress=None, jobs: int = 1) -> dict:
+                seed: int = 0, progress=None, mapper=map) -> dict:
     """Rejection rate as a function of the cross-correlation parameter.
 
     Replicate streams are shared across rho values (common random
@@ -224,8 +207,7 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
     scale_set = make_scales(n_samples, n_min, n_max, r, degree)
     cov = rho_null_cov(scale_set.scales, n_samples, hurst1, hurst2, table,
                        degree)
-    kappa = scale_set.r
-    pool = GaussianTailPool(cov.matrix, kappa, mc_samples, seed)
+    tail = NullTail(cov, scale_set.r, mc_samples, seed)
 
     rows = []
     rates = {}
@@ -239,18 +221,13 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
                 progress(base + i, total)
 
         vectors = _rho_vectors("bfgn", params, n_samples, scale_set,
-                               replicates, seed, progress=tick, jobs=jobs)
+                               replicates, seed, progress=tick, mapper=mapper)
         done += replicates
-        rejections = 0
-        for i, vec in enumerate(vectors):
-            t_obs = test_statistic(vec, cov, kappa)
-            p_val = pool.prob_above(t_obs)[0]
-            reject = p_val <= level
-            rejections += reject
-            rows.append({"rho": float(rho), "replicate": i,
-                         "statistic": t_obs, "p_value": p_val,
-                         "reject": int(reject)})
-        rates[float(rho)] = rejections / replicates
+        stats, p_vals, reject = _score(tail, vectors, cov, level)
+        rows += [{"rho": float(rho), "replicate": i, "statistic": t,
+                  "p_value": p, "reject": int(x)}
+                 for i, (t, p, x) in enumerate(zip(stats, p_vals, reject))]
+        rates[float(rho)] = int(reject.sum()) / replicates
     return {
         "study": "power",
         "rows": rows,
@@ -274,32 +251,21 @@ def speed_study(table: CovTable, *, hurst1: float = 0.7, hurst2: float = 0.8,
     surrogate side simulates full pairs and recomputes their statistics.
     """
     scale_set = make_scales(n_samples, n_min, n_max, r, degree)
-    counts = scale_set.window_counts(n_samples)
     params = FbmParams(hurst1=hurst1, hurst2=hurst2, rho=0.0)
-    spec = SimSpec(kind="bfgn", n_samples=n_samples, params=params, seed=seed)
-    observed = generate(spec, replicate=0)
-    fl = fluctuation_analysis(observed, scale_set)
+    observed = _rho_vectors("bfgn", params, n_samples, scale_set, 1, seed)[0]
     kappa = scale_set.r
 
     t0 = time.perf_counter()
     cov = rho_null_cov(scale_set.scales, n_samples, hurst1, hurst2, table,
                        degree)
-    pool = GaussianTailPool(cov.matrix, kappa, mc_samples, seed + 1)
-    t_obs = test_statistic(scaled_rho(fl.rho, counts), cov, kappa)
-    p_tab = pool.prob_above(t_obs)[0]
+    t_obs = test_statistic(observed, cov, kappa)
+    p_tab = NullTail(cov, kappa, mc_samples, seed + 1).p_values(t_obs)[0]
     tabulated_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    surrogate_spec = SimSpec(kind="bfgn", n_samples=n_samples, params=params,
-                             seed=seed + 1)
-    stats = np.empty(surrogates)
-    for i in range(surrogates):
-        pair = generate(surrogate_spec, replicate=i)
-        sfl = fluctuation_analysis(pair, scale_set)
-        stats[i] = test_statistic(scaled_rho(sfl.rho, counts), cov, kappa)
-        if progress is not None:
-            progress(i + 1, surrogates)
-    p_surr = float(np.mean(stats > t_obs))
+    vectors = _rho_vectors("bfgn", params, n_samples, scale_set, surrogates,
+                           seed + 1, progress=progress)
+    p_surr = float(np.mean(test_statistic(vectors, cov, kappa) > t_obs))
     surrogate_s = time.perf_counter() - t0
 
     return {

@@ -3,11 +3,15 @@
 The observed statistic is the largest standardisation level lambda such
 that at least kappa of the r scaled coefficients sqrt([N/n_i]) rho(n_i)
 exceed lambda * sqrt(C_ii) simultaneously, on the better of the two sign
-branches; equivalently the kappa-th largest standardised value.  Its
-null distribution is estimated by Monte Carlo draws from N(0, C), which
-also yields the critical threshold theta* and the p-value.  For
-kappa < r the reported p-value is the conservative binomial bound
-min(1, 2 C(r, kappa) Pr(leading kappa coordinates jointly exceed)).
+branches; equivalently the kappa-th largest standardised value.
+
+Its null distribution lives in one object, :class:`NullTail`, built from
+Monte Carlo draws of N(0, C).  It gives the critical threshold theta*
+and the p-values of any number of statistics at once: for kappa = r the
+estimated exceedance probability itself, for kappa < r the conservative
+binomial bound min(1, 2 C(r, kappa) Pr(leading kappa coordinates jointly
+exceed)); every p-value is capped at 1 and floored at the 1/samples
+Monte Carlo resolution.
 
 Rejection is decided from the p-value (reject iff p <= level).  For
 kappa = r this agrees with the critical-region rule T > theta* up to the
@@ -18,6 +22,7 @@ bound is the deciding quantity and theta* is reported for reference.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +33,16 @@ from .fluctuation import FluctuationSet, HurstEstimate, fluctuation_analysis, \
 from .series import ScaleSet, SeriesPair
 
 _CHUNK = 1 << 17
+# Chunks are filled on this many threads; numpy's generators, products
+# and sorts release the interpreter lock.
+_POOL_THREADS = 2
+# Rows of one block: at most 2**18 multiply-adds per matrix product, a
+# size OpenBLAS runs on the calling thread rather than on its own worker
+# threads, which would spin on the cores the pool's threads use.
+_BLOCK_MADDS = 1 << 18
 _THETA_MAX = 50.0
 _THETA_STEP = 0.01
 MIN_MC_SAMPLES = 100_000
-MAX_R_FOR_BINOM = 64
 
 # Default half-width of the Hurst range around DFA estimates in 'auto'
 # mode; the covariance may be recomputed with a tighter range when the
@@ -61,7 +72,7 @@ class GaussianTailPool:
     minimum of the first kappa standardised coordinates, used by the
     binomial p-value bound.  Chunked generation with seeds derived from
     a SeedSequence keeps results reproducible and independent of chunk
-    scheduling.
+    scheduling, so chunks are filled on two threads.
     """
 
     def __init__(self, matrix: np.ndarray, kappa: int, samples: int,
@@ -82,30 +93,38 @@ class GaussianTailPool:
 
         n_chunks = (samples + _CHUNK - 1) // _CHUNK
         seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-        parts = []
-        remaining = samples
-        for child in seeds:
-            count = min(_CHUNK, remaining)
-            remaining -= count
-            rng = np.random.default_rng(child)
-            s = (rng.standard_normal((count, dim)) @ factor.T) / std
-            if mode == "kth":
-                upper = np.partition(s, r - kappa, axis=1)[:, r - kappa]
-                lower = np.partition(s, kappa - 1, axis=1)[:, kappa - 1]
-                parts.append(np.maximum(upper, -lower))
-            else:
-                parts.append(s.min(axis=1))
-        self.values = np.sort(np.concatenate(parts))
+        rows = max(1, _BLOCK_MADDS // dim ** 2)
+        values = np.empty(samples)
+
+        def fill(i):
+            # Chunk i block by block: its generator gives the same stream
+            # whether drawn at once or in consecutive blocks.
+            rng = np.random.default_rng(seeds[i])
+            stop = min((i + 1) * _CHUNK, samples)
+            for start in range(i * _CHUNK, stop, rows):
+                out = values[start:min(start + rows, stop)]
+                s = rng.standard_normal((len(out), dim)) @ factor.T
+                s /= std
+                if mode == "kth":
+                    np.maximum(*_branch_levels(s, kappa), out=out)
+                else:
+                    s.min(axis=1, out=out)
+
+        with ThreadPoolExecutor(min(_POOL_THREADS, n_chunks)) as executor:
+            list(executor.map(fill, range(n_chunks)))
+        values.sort()
+        self.values = values
         self.samples = samples
         self.kappa = kappa
         self.mode = mode
 
-    def prob_above(self, theta: float) -> tuple[float, float]:
-        """(estimate, binomial standard error) of Pr(statistic > theta)."""
-        count = self.samples - int(np.searchsorted(self.values, theta,
-                                                   side="right"))
+    def prob_above(self, theta):
+        """(estimate, binomial standard error) of Pr(statistic > theta),
+        elementwise when ``theta`` is an array."""
+        count = self.samples - np.searchsorted(self.values, theta,
+                                               side="right")
         p = count / self.samples
-        return p, math.sqrt(max(p * (1.0 - p), 0.0) / self.samples)
+        return p, np.sqrt(p * (1.0 - p) / self.samples)
 
     def threshold(self, level: float) -> float:
         """Smallest theta on the 0.01 grid with Pr-hat(> theta) < level."""
@@ -128,78 +147,89 @@ class GaussianTailPool:
         return hi * _THETA_STEP
 
 
+class NullTail:
+    """Monte Carlo null of the joint statistic for one covariance.
+
+    Holds the kth-order pool, which gives the critical threshold, and
+    for kappa < r the leading-min pool behind the binomial bound.
+    Every pool is built from (covariance, kappa, samples, seed), so a
+    tail rebuilt from the same arguments gives the same numbers.
+    """
+
+    def __init__(self, cov: NullCovariance, kappa: int, samples: int,
+                 seed: int):
+        self.pool = GaussianTailPool(cov.matrix, kappa, samples, seed)
+        self.bound_pool = self.pool
+        self.multiplier = 1.0
+        if kappa < cov.r:
+            self.bound_pool = GaussianTailPool(cov.matrix, kappa, samples,
+                                               seed, mode="leading-min")
+            self.multiplier = 2.0 * math.comb(cov.r, kappa)
+        self.floor = 1.0 / samples
+
+    def threshold(self, level: float) -> float:
+        """Critical theta* of the kth-order pool at the given level."""
+        return self.pool.threshold(level)
+
+    def p_values(self, stats):
+        """(p-value, standard error) of observed statistics, elementwise
+        for an array: the bound-pool tail times 2 C(r, kappa) when
+        kappa < r, capped at 1 and floored at 1/samples."""
+        p, se = self.bound_pool.prob_above(stats)
+        p = np.minimum(1.0, np.maximum(self.multiplier * p, self.floor))
+        se = self.multiplier * se
+        if np.ndim(stats) == 0:
+            return float(p), float(se)
+        return p, se
+
+
 def scaled_rho(rho: np.ndarray, window_counts: np.ndarray) -> np.ndarray:
     """Map raw coefficients to the sqrt([N/n_i]) rho(n_i) convention."""
     return np.asarray(rho, dtype=float) * np.sqrt(window_counts)
 
 
-def test_statistic(rho_scaled: np.ndarray, cov: NullCovariance,
-                   kappa: int) -> float:
-    """kappa-th largest standardised value over the better sign branch."""
+def _branch_levels(s: np.ndarray, kappa: int):
+    """(kappa-th largest, minus kappa-th smallest) of standardised values
+    along the last axis: the levels of the positive and negative branch.
+
+    One sort along the last axis selects both; for r <= 64 it is faster
+    than either one or two ``np.partition`` calls.
+    """
+    r = s.shape[-1]
+    ordered = np.sort(s, axis=-1)
+    return ordered[..., r - kappa], -ordered[..., kappa - 1]
+
+
+def _standardised(rho_scaled, cov: NullCovariance, kappa: int) -> np.ndarray:
     rho_scaled = np.asarray(rho_scaled, dtype=float)
     r = cov.r
-    if len(rho_scaled) != r:
+    if rho_scaled.shape[-1:] != (r,):
         raise ValueError(
-            f"rho vector has length {len(rho_scaled)}, covariance is {r}x{r}"
+            f"rho vectors have shape {rho_scaled.shape}, covariance is "
+            f"{r}x{r}"
         )
     if not 1 <= kappa <= r:
         raise ValueError(f"kappa must lie in 1..{r}")
     diag = np.diag(cov.matrix)
     if np.any(diag <= 0):
         raise ValueError("covariance diagonal must be positive")
-    s = rho_scaled / np.sqrt(diag)
-    upper = np.partition(s, r - kappa)[r - kappa]
-    lower = np.partition(s, kappa - 1)[kappa - 1]
-    return float(max(upper, -lower))
+    return rho_scaled / np.sqrt(diag)
+
+
+def test_statistic(rho_scaled: np.ndarray, cov: NullCovariance, kappa: int):
+    """kappa-th largest standardised value over the better sign branch;
+    one value per row when ``rho_scaled`` is a (replicates, r) matrix."""
+    stat = np.maximum(*_branch_levels(_standardised(rho_scaled, cov, kappa),
+                                      kappa))
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def statistic_direction(rho_scaled: np.ndarray, cov: NullCovariance,
                         kappa: int) -> str:
     """Sign branch achieving the statistic ('positive' or 'negative')."""
-    s = np.asarray(rho_scaled) / np.sqrt(np.diag(cov.matrix))
-    r = len(s)
-    upper = np.partition(s, r - kappa)[r - kappa]
-    lower = np.partition(s, kappa - 1)[kappa - 1]
-    return "positive" if upper >= -lower else "negative"
-
-
-def exceedance_prob_mc(cov: NullCovariance, theta: float, kappa: int,
-                       samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo Pr over N(0, C) that some kappa-subset of coordinates
-    all exceed theta*sqrt(C_ii) or all fall below the negatives."""
-    pool = GaussianTailPool(cov.matrix, kappa, samples, seed)
-    return pool.prob_above(theta)
-
-
-def crit_threshold(cov: NullCovariance, level: float, kappa: int,
-                   samples: int, seed: int) -> float:
-    """Critical theta* with estimated exceedance probability below level."""
-    pool = GaussianTailPool(cov.matrix, kappa, samples, seed)
-    return pool.threshold(level)
-
-
-def pvalue_bound_kappa(cov: NullCovariance, t_observed: float, kappa: int,
-                       samples: int, seed: int) -> float:
-    """Conservative p-value for the observed statistic.
-
-    kappa == r uses the exceedance probability of the critical-region
-    event directly; kappa < r multiplies the joint one-sided tail of the
-    leading kappa coordinates by 2 C(r, kappa).  Reported values are
-    capped at 1 and floored at the 1/samples Monte Carlo resolution.
-    """
-    r = cov.r
-    if kappa == r:
-        p, _ = exceedance_prob_mc(cov, t_observed, kappa, samples, seed)
-    else:
-        if r > MAX_R_FOR_BINOM:
-            raise ValueError(
-                f"binomial bound supports at most r={MAX_R_FOR_BINOM} scales"
-            )
-        pool = GaussianTailPool(cov.matrix, kappa, samples, seed,
-                                mode="leading-min")
-        joint, _ = pool.prob_above(t_observed)
-        p = 2.0 * math.comb(r, kappa) * joint
-    return float(min(1.0, max(p, 1.0 / samples)))
+    upper, lower = _branch_levels(_standardised(rho_scaled, cov, kappa),
+                                  kappa)
+    return "positive" if upper >= lower else "negative"
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +344,9 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     rho_sc = scaled_rho(fluct.rho, counts)
     t_obs = test_statistic(rho_sc, cov, kappa)
 
-    pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples, config.seed)
-    theta_star = pool.threshold(config.level)
-    if kappa == cov.r:
-        p_value, p_stderr = pool.prob_above(t_obs)
-        p_value = min(1.0, max(p_value, 1.0 / config.mc_samples))
-    else:
-        sub_pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples,
-                                    config.seed, mode="leading-min")
-        joint, joint_se = sub_pool.prob_above(t_obs)
-        mult = 2.0 * math.comb(cov.r, kappa)
-        p_value = min(1.0, max(mult * joint, 1.0 / config.mc_samples))
-        p_stderr = mult * joint_se
+    tail = NullTail(cov, kappa, config.mc_samples, config.seed)
+    theta_star = tail.threshold(config.level)
+    p_value, p_stderr = tail.p_values(t_obs)
 
     reject = p_value <= config.level
     direction = statistic_direction(rho_sc, cov, kappa) if reject else "none"

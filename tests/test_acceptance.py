@@ -19,8 +19,7 @@ from dccatest.series import SeriesPair, make_scales
 from dccatest.studies import (_rho_vectors, power_study,
                               shortrange_robustness, speed_study,
                               upperbound_check)
-from dccatest.testkit import GaussianTailPool, exceedance_prob_mc, \
-    crit_threshold
+from dccatest.testkit import NullTail
 from dccatest.testkit import test_statistic as joint_statistic
 
 LEVEL = 0.05
@@ -39,8 +38,8 @@ def cal_cov(full_table, cal_scales):
 
 
 @pytest.fixture(scope="module")
-def cal_pool(cal_cov):
-    return GaussianTailPool(cal_cov.matrix, cal_cov.r, 400_000, seed=424)
+def cal_tail(cal_cov):
+    return NullTail(cal_cov, cal_cov.r, 400_000, seed=424)
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +49,9 @@ def null_vectors(cal_scales):
     return _rho_vectors("bfgn", params, CAL_N, cal_scales, 10_000, seed=101)
 
 
-def _rejection_rate(vectors, cov, pool, level):
-    r = cov.r
-    rejected = 0
-    for vec in vectors:
-        t_obs = joint_statistic(vec, cov, r)
-        rejected += (pool.prob_above(t_obs)[0] <= level)
-    return rejected / len(vectors)
+def _rejection_rate(vectors, cov, tail, level):
+    p_vals, _ = tail.p_values(joint_statistic(vectors, cov, cov.r))
+    return float(np.mean(p_vals <= level))
 
 
 def test_criterion_1_rho_bounds_and_identity(rng):
@@ -151,32 +146,31 @@ def test_criterion_3_trace_formula_oracle(rng):
           + f" (3 SE bound, {reps} replicates)")
 
 
-def test_criterion_4_null_calibration(null_vectors, cal_cov, cal_pool):
-    rate = _rejection_rate(null_vectors[:2000], cal_cov, cal_pool, LEVEL)
+def test_criterion_4_null_calibration(null_vectors, cal_cov, cal_tail):
+    rate = _rejection_rate(null_vectors[:2000], cal_cov, cal_tail, LEVEL)
     assert 0.03 <= rate <= 0.08, rate
     print(f"\nACCEPTANCE 4 PASS: Type I rate {rate:.4f} in [0.03, 0.08] "
           f"(level {LEVEL}, 2000 replicates, N={CAL_N})")
 
 
-def test_criterion_5_tail_agreement(null_vectors, cal_cov, cal_pool):
-    theta = cal_pool.threshold(0.03)
-    theoretical = cal_pool.prob_above(theta)[0]
-    r = cal_cov.r
-    stats = np.array([joint_statistic(v, cal_cov, r) for v in null_vectors])
+def test_criterion_5_tail_agreement(null_vectors, cal_cov, cal_tail):
+    theta = cal_tail.threshold(0.03)
+    theoretical = cal_tail.p_values(theta)[0]
+    stats = joint_statistic(null_vectors, cal_cov, cal_cov.r)
     simulated = float(np.mean(stats > theta))
     assert abs(simulated - theoretical) <= 0.01, (simulated, theoretical)
     print(f"\nACCEPTANCE 5 PASS: tail frequency {simulated:.4f} vs "
           f"theoretical {theoretical:.4f} (|diff| <= 0.01, 10^4 replicates)")
 
 
-def test_criterion_6_non_gaussian_invariance(null_vectors, cal_cov, cal_pool,
+def test_criterion_6_non_gaussian_invariance(null_vectors, cal_cov, cal_tail,
                                              cal_scales):
-    gauss_rate = _rejection_rate(null_vectors[:2000], cal_cov, cal_pool,
+    gauss_rate = _rejection_rate(null_vectors[:2000], cal_cov, cal_tail,
                                  LEVEL)
     params = FbmParams(hurst1=CAL_H, hurst2=CAL_G, rho=0.0)
     ng_vectors = _rho_vectors("nongaussian", params, CAL_N, cal_scales,
                               2000, seed=202, phi=3.0)
-    ng_rate = _rejection_rate(ng_vectors, cal_cov, cal_pool, LEVEL)
+    ng_rate = _rejection_rate(ng_vectors, cal_cov, cal_tail, LEVEL)
     assert abs(ng_rate - gauss_rate) <= 0.03, (ng_rate, gauss_rate)
     print(f"\nACCEPTANCE 6 PASS: non-Gaussian Type I rate {ng_rate:.4f} vs "
           f"Gaussian {gauss_rate:.4f} (|diff| <= 0.03)")
@@ -222,13 +216,13 @@ def test_criterion_10_mc_stability_and_speed(full_table):
     cov = rho_null_cov(scales.scales, 20_000, CAL_H, CAL_G, full_table)
     # Threshold calibrated by a 10^7-sample oracle pool, then checked
     # for stability with repeated 10^6-sample runs.
-    theta = crit_threshold(cov, LEVEL, 25, 10_000_000, seed=1)
+    theta = NullTail(cov, 25, 10_000_000, seed=1).threshold(LEVEL)
 
     estimates = []
     worst_time = 0.0
     for k in range(20):
         t0 = time.perf_counter()
-        p, _ = exceedance_prob_mc(cov, theta, 25, 1_000_000, seed=1000 + k)
+        p, _ = NullTail(cov, 25, 1_000_000, seed=1000 + k).p_values(theta)
         worst_time = max(worst_time, time.perf_counter() - t0)
         estimates.append(p)
     spread = float(np.std(estimates))

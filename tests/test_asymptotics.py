@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dccatest.asymptotics import (dfa_dcca_cross_cov_check, f2_variance_limit,
-                                  fluct_cov_exact, fluct_mean_exact,
-                                  load_covtab, rho_null_cov, save_covtab,
-                                  tabulate, worst_case_cov)
+from dccatest.asymptotics import (f2_variance_limit, fluct_cov_exact,
+                                  fluct_mean_exact, load_covtab, rho_null_cov,
+                                  save_covtab, tabulate, worst_case_cov)
 from dccatest.fbm import fbm_auto_cov
 from dccatest.fluctuation import poly_basis
 
@@ -91,11 +90,31 @@ def test_cov_errors():
         fluct_cov_exact(16, 16, 0, 0.7, 0.7, 1, kind="bogus")
 
 
-def test_dfa_dcca_uncorrelated_check():
-    for args in [(16, 0, 0.7, 0.8), (64, 3, 0.9, 0.5)]:
-        assert dfa_dcca_cross_cov_check(*args) == 0.0
-    with pytest.raises(ValueError):
-        dfa_dcca_cross_cov_check(1, 0, 0.7, 0.8)
+def test_dfa_dcca_uncorrelated_check(rng):
+    # Independent fBm pairs: the DFA F2 of component 1 and the DCCA
+    # F2_cross are uncorrelated, on the same window (j = 0) and one
+    # window apart (j = 1); sample covariance within 3 SE of 0.
+    n, h, g, d = 16, 0.7, 0.8, 1
+    t = np.arange(1, 2 * n + 1, dtype=float)
+    reps = 20_000
+    paths = []
+    for hurst in (h, g):
+        factor = np.linalg.cholesky(np.asarray(
+            fbm_auto_cov(t[:, None], t[None, :], hurst))
+            + 1e-12 * np.eye(2 * n))
+        paths.append(factor @ rng.standard_normal((2 * n, reps)))
+    basis = poly_basis(n, d)
+
+    def residuals(x, window):
+        w = x[window * n:(window + 1) * n]
+        return w - basis @ (basis.T @ w)
+
+    f2_auto1 = np.mean(residuals(paths[0], 0) ** 2, axis=0)
+    for j in (0, 1):
+        f2_cross = np.mean(residuals(paths[0], j) * residuals(paths[1], j),
+                           axis=0)
+        prod = (f2_auto1 - f2_auto1.mean()) * (f2_cross - f2_cross.mean())
+        assert abs(prod.mean()) <= 3 * prod.std() / np.sqrt(reps), j
 
 
 def test_dfa_dcca_uncorrelated_monte_carlo(rng):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +175,32 @@ def test_tabulate_resume_completes_partial(tmp_path, table_file):
     assert fixed.is_complete()
     assert fixed.variance[1, 2] == pytest.approx(table.variance[1, 2],
                                                  rel=1e-12)
+
+
+def test_tabulate_jobs_resume_on_new_grid_starts_fresh(tmp_path):
+    # A partial table on another grid is not resumed, in parallel as in
+    # serial; the parallel table is byte-identical to the serial one.
+    common = ["--n-tab", "128", "--ratios", "0.25,0.5,1.0"]
+    old = str(tmp_path / "t.covtab")
+    assert main(["tabulate", "--grid", "0.6:0.62:0.02", *common,
+                 "--out", old]) == 0
+    assert main(["tabulate", "--grid", "0.6:0.66:0.02", *common,
+                 "--resume", "--jobs", "2", "--out", old]) == 0
+    serial = str(tmp_path / "serial.covtab")
+    assert main(["tabulate", "--grid", "0.6:0.66:0.02", *common,
+                 "--out", serial]) == 0
+    assert open(old, "rb").read() == open(serial, "rb").read()
+    assert load_covtab(serial).is_complete()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, dccatest.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_study_power_plumbing(tmp_path, table_file):

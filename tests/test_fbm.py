@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from dccatest.fbm import (FbmParams, auto_block, fbm_auto_cov, fbm_cross_cov,
-                          fgn_autocov, fgn_cross_cov, window_cov_block)
+from dccatest.fbm import (FbmParams, fbm_auto_cov, fbm_cross_cov,
+                          fgn_autocov, fgn_cross_cov)
 
 
 def _params(h, g, rho=1.0, eta=0.0):
     return FbmParams(hurst1=h, hurst2=g, rho=rho, eta=eta)
+
+
+def _times(n, offset=0):
+    return offset + np.arange(1, n + 1, dtype=float)
+
+
+def _window_cov(n, m, offset, hurst):
+    """E(X(a) X(offset + b)) for a = 1..n, b = 1..m."""
+    return fbm_auto_cov(_times(n)[:, None], _times(m, offset)[None, :], hurst)
 
 
 def test_params_validation():
@@ -122,37 +131,33 @@ def test_fgn_cross_cov_second_difference_of_kernel():
 
 
 def test_window_block_brownian_grid():
-    blk = window_cov_block(2, 2, 0, _params(0.5, 0.5), kind="auto1")
-    assert np.allclose(blk.matrix, [[1.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(_window_cov(2, 2, 0, 0.5), [[1.0, 1.0], [1.0, 2.0]])
 
 
 def test_window_block_fbm_diagonal():
-    blk = window_cov_block(3, 3, 0, _params(0.7, 0.7), kind="auto1")
-    assert np.allclose(np.diag(blk.matrix),
-                       [1.0, 2 ** 1.4, 3 ** 1.4], rtol=1e-12)
-    assert np.allclose(blk.matrix, blk.matrix.T)
+    mat = _window_cov(3, 3, 0, 0.7)
+    assert np.allclose(np.diag(mat), [1.0, 2 ** 1.4, 3 ** 1.4], rtol=1e-12)
+    assert np.allclose(mat, mat.T)
 
 
 def test_window_block_offsets_and_kinds():
-    p = FbmParams(0.7, 0.9, rho=0.0)
-    blk = window_cov_block(4, 6, 2, p, kind="auto2")
-    assert blk.matrix.shape == (4, 6)
-    # entry (a, b) = kernel at times (a, j*n + b)
-    assert blk.matrix[1, 2] == pytest.approx(
-        float(fbm_auto_cov(2.0, 11.0, 0.9)))
-    assert np.allclose(window_cov_block(4, 4, 1, p, "cross").matrix, 0.0)
-    with pytest.raises(ValueError):
-        window_cov_block(4, 4, -1, p)
-    with pytest.raises(ValueError):
-        window_cov_block(4, 4, 0, p, kind="bogus")
+    # Window 1 of size 4 against a size-6 window j = 2 windows later:
+    # entry (a, b) is the kernel at times (a, j*n + b).
+    mat = _window_cov(4, 6, 2 * 4, 0.9)
+    assert mat.shape == (4, 6)
+    assert mat[1, 2] == pytest.approx(float(fbm_auto_cov(2.0, 11.0, 0.9)))
+    # Under the null the cross kernel vanishes on the same grid.
+    null = FbmParams(0.7, 0.9, rho=0.0)
+    assert np.allclose(fbm_cross_cov(_times(4)[:, None],
+                                     _times(4, 4)[None, :], null), 0.0)
 
 
 def test_window_block_psd_grid():
     for h in (0.5, 0.66, 0.8, 0.98):
         for n in (4, 16, 64):
-            blk = window_cov_block(n, n, 0, _params(h, h), kind="auto1")
-            eigmin = np.linalg.eigvalsh(blk.matrix)[0]
-            assert eigmin >= -1e-8 * np.trace(blk.matrix)
+            mat = _window_cov(n, n, 0, h)
+            eigmin = np.linalg.eigvalsh(mat)[0]
+            assert eigmin >= -1e-8 * np.trace(mat)
 
 
 def test_window_block_simulation_oracle(rng):
@@ -160,16 +165,14 @@ def test_window_block_simulation_oracle(rng):
     # matches the sample covariance over many simulated paths.
     n, j, h = 16, 2, 0.8
     path_len = (j + 1) * n
-    full = np.asarray(fbm_auto_cov(
-        np.arange(1, path_len + 1)[:, None],
-        np.arange(1, path_len + 1)[None, :], h))
+    full = _window_cov(path_len, path_len, 0, h)
     factor = np.linalg.cholesky(full + 1e-12 * np.eye(path_len))
     reps = 100_000
     paths = factor @ rng.standard_normal((path_len, reps))
     w1 = paths[:n]
     w2 = paths[j * n:(j + 1) * n]
     sample = (w1 @ w2.T) / reps
-    theory = window_cov_block(n, n, j, _params(h, h), "auto1").matrix
+    theory = _window_cov(n, n, j * n, h)
     # Entrywise 3 MC standard errors; the entry std is estimated per cell.
     prod = w1[:, None, :] * w2[None, :, :]
     se = prod.std(axis=2) / np.sqrt(reps)
@@ -177,8 +180,18 @@ def test_window_block_simulation_oracle(rng):
 
 
 def test_auto_block_negative_offset_consistency():
-    # Two-sided fBm blocks at negative offsets agree with shifting both
-    # windows to positive times after projection; raw entries follow the
-    # kernel orientation.
-    mat = auto_block(3, 3, -10, 0.7)
-    assert mat[0, 0] == pytest.approx(float(fbm_auto_cov(1.0, -9.0, 0.7)))
+    # The two-sided kernel at negative times: raw entries follow the
+    # kernel orientation, and increments from a common origin have the
+    # same covariance as the same windows shifted to positive times.
+    h = 0.7
+    mat = _window_cov(3, 3, -10, h)
+    assert mat[0, 0] == pytest.approx(float(fbm_auto_cov(1.0, -9.0, h)))
+
+    def increment_cov(shift):
+        t = np.concatenate([_times(3, shift), _times(3, shift - 10)])
+        origin = shift - 12.0
+        k = fbm_auto_cov(t[:, None], t[None, :], h)
+        k0 = fbm_auto_cov(t, origin, h)
+        return k - k0[:, None] - k0[None, :] + fbm_auto_cov(origin, origin, h)
+
+    assert np.allclose(increment_cov(0.0), increment_cov(20.0), rtol=1e-9)

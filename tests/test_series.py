@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dccatest.series import (InfeasibleScalesError, SeriesPair,
+                             _parse_columns, _parse_lines,
                              integrate_profile, load_pair, make_scales,
                              write_pair)
 
@@ -142,6 +143,53 @@ def test_load_pair_errors(tmp_path):
     nan.write_text("1.0,1.0\nnan,2.0\n")
     with pytest.raises(ValueError, match="NaN"):
         load_pair(str(nan))
+
+
+@pytest.mark.parametrize("text", [
+    "1.5,2\n-3e-5,4\n",
+    "# c\n\n 1.5 , 2\n\t3,4\n# d\n",
+    "1\t2\n3\t4\n",
+    "1 2\n3   4\n",
+    "7\n8\n9\n",
+    "x,y\n1,2\n3,4\n",
+    "1,,2\n3,4\n",
+    "1,2,\n3,4\n",
+    "1,2\n3\t4\n",
+    "1\t2\n3,4\n",
+    "1 2\t3\n4 5\t6\n",
+    "1 2 3\n4 5\t6\n",
+    "1 2\n3\t4\n",
+    "1_0,2\n3,4\n",
+    "nan,inf\n-Infinity,1e308\n",
+    "0.1000000000000000055511151231257827,4.9e-324\n1,2\n",
+    "1,2\n3\n",
+    "1,2\noops\n",
+    "# only a comment\n",
+    "",
+])
+def test_parse_columns_matches_line_reader(tmp_path, text):
+    """The numpy fast path and the line-by-line reader agree on every
+    file: the same array, bit for bit, or the same error."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    try:
+        expected = _parse_lines(str(path))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc).split(": ")[-1]):
+            _parse_columns(str(path))
+        return
+    got = _parse_columns(str(path))
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_parse_columns_matches_line_reader_on_random_digits(tmp_path, rng):
+    values = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(
+        -300, 300, (500, 2))
+    path = tmp_path / "digits.csv"
+    path.write_text("".join(f"{float(a)!r},{b:.25g}\n" for a, b in values))
+    assert _parse_columns(str(path)).tobytes() == \
+        _parse_lines(str(path)).tobytes()
 
 
 def test_write_pair_round_trip(tmp_path, rng):

@@ -6,9 +6,8 @@ from dccatest.asymptotics import NullCovariance, rho_null_cov
 from dccatest.series import SeriesPair, make_scales
 from dccatest.simulate import SimSpec, add_trend, gen_bfgn
 from dccatest.fbm import FbmParams
-from dccatest.testkit import (GaussianTailPool, TestConfig, crit_threshold,
-                              exceedance_prob_mc, pvalue_bound_kappa,
-                              stat_dcca)
+from dccatest.testkit import (_CHUNK, GaussianTailPool, NullTail, TestConfig,
+                              stat_dcca, statistic_direction)
 from dccatest.testkit import test_statistic as joint_statistic
 
 
@@ -43,65 +42,112 @@ def test_statistic_validation():
         joint_statistic(np.array([1.0, 2.0]), c2, 3)
 
 
+def test_statistic_rows_match_vectors(rng):
+    # A (replicates, r) matrix is scored row by row, bit for bit.
+    c4 = NullCovariance(matrix=np.diag([1.0, 2.0, 0.5, 3.0]),
+                        scales=(10, 20, 40, 80), n_samples=1000, degree=1,
+                        provenance=("exact", 0.7, 0.7))
+    rows = rng.standard_normal((50, 4))
+    for kappa in (1, 2, 3, 4):
+        stats = joint_statistic(rows, c4, kappa)
+        assert stats.shape == (50,)
+        assert stats.tolist() == [joint_statistic(v, c4, kappa)
+                                  for v in rows]
+    assert statistic_direction(np.array([-3.0, -2.0, -4.0]),
+                               _identity_cov(3), 2) == "negative"
+
+
 def test_exceedance_univariate_tail():
-    c1 = _identity_cov(1)
-    p, se = exceedance_prob_mc(c1, 1.6449, 1, 200_000, seed=7)
+    tail = NullTail(_identity_cov(1), 1, 200_000, seed=7)
+    p, se = tail.p_values(1.6449)
     assert abs(p - 0.10) < 4 * se + 1e-3
-    p_far, _ = exceedance_prob_mc(c1, 20.0, 1, 200_000, seed=7)
-    assert p_far == 0.0
+    # No draw lies above 20: the raw tail is 0, the p-value its floor.
+    assert tail.pool.prob_above(20.0)[0] == 0.0
+    assert tail.p_values(20.0)[0] == 1.0 / 200_000
 
 
 def test_exceedance_deterministic():
     c2 = _identity_cov(2)
-    a = exceedance_prob_mc(c2, 1.0, 2, 150_000, seed=3)
-    b = exceedance_prob_mc(c2, 1.0, 2, 150_000, seed=3)
+    a = NullTail(c2, 2, 150_000, seed=3).p_values(1.0)
+    b = NullTail(c2, 2, 150_000, seed=3).p_values(1.0)
     assert a == b
-    c = exceedance_prob_mc(c2, 1.0, 2, 150_000, seed=4)
+    c = NullTail(c2, 2, 150_000, seed=4).p_values(1.0)
     assert a != c
 
 
+def _whole_chunk_pool(matrix, kappa, samples, seed, mode):
+    """Pool values drawn and reduced one whole chunk at a time."""
+    if mode == "leading-min":
+        matrix = matrix[:kappa, :kappa]
+    factor = np.linalg.cholesky(matrix)
+    std = np.sqrt(np.diag(matrix))
+    n_chunks = -(-samples // _CHUNK)
+    parts = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        count = min(_CHUNK, samples - i * _CHUNK)
+        draws = np.random.default_rng(child).standard_normal((count,
+                                                              len(std)))
+        s = (draws @ factor.T) / std
+        ordered = np.sort(s, axis=1)
+        parts.append(np.maximum(ordered[:, len(std) - kappa],
+                                -ordered[:, kappa - 1])
+                     if mode == "kth" else s.min(axis=1))
+    return np.sort(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("r", [3, 10, 25])
+def test_pool_matches_whole_chunk_draws(r):
+    """Blocked filling on threads gives the values of one draw, one
+    product and one sort per chunk, bit for bit."""
+    a = np.random.default_rng(r).standard_normal((r, r))
+    matrix = a @ a.T + r * np.eye(r)
+    samples = 2 * _CHUNK + 5
+    for kappa, mode in ((r, "kth"), (r - 1, "kth"), (1, "kth"),
+                        (r - 1, "leading-min")):
+        if kappa < 1:
+            continue
+        pool = GaussianTailPool(matrix, kappa, samples, seed=r, mode=mode)
+        ref = _whole_chunk_pool(matrix, kappa, samples, r, mode)
+        assert np.array_equal(pool.values, ref), (kappa, mode)
+
+
 def test_crit_threshold_univariate():
-    c1 = _identity_cov(1)
-    assert crit_threshold(c1, 0.05, 1, 400_000, seed=11) == pytest.approx(
-        1.96, abs=0.02)
-    assert crit_threshold(c1, 0.5, 1, 400_000, seed=11) == pytest.approx(
-        0.674, abs=0.02)
+    tail = NullTail(_identity_cov(1), 1, 400_000, seed=11)
+    assert tail.threshold(0.05) == pytest.approx(1.96, abs=0.02)
+    assert tail.threshold(0.5) == pytest.approx(0.674, abs=0.02)
 
 
 def test_crit_threshold_self_consistency(tiny_table):
     cov = rho_null_cov((20, 60, 180), 4000, 0.7, 0.9, tiny_table)
-    theta = crit_threshold(cov, 0.05, 3, 300_000, seed=5)
-    p, _ = exceedance_prob_mc(cov, theta, 3, 300_000, seed=5)
+    tail = NullTail(cov, 3, 300_000, seed=5)
+    p, _ = tail.p_values(tail.threshold(0.05))
     assert 0.04 <= p < 0.05
 
 
 def test_crit_threshold_monotone_in_level():
-    c2 = _identity_cov(2)
-    thetas = [crit_threshold(c2, p, 2, 200_000, seed=9)
-              for p in (0.2, 0.1, 0.05, 0.01)]
+    tail = NullTail(_identity_cov(2), 2, 200_000, seed=9)
+    thetas = [tail.threshold(p) for p in (0.2, 0.1, 0.05, 0.01)]
     assert all(a <= b for a, b in zip(thetas, thetas[1:]))
 
 
 def test_pvalue_kappa_r_definitional():
-    c2 = _identity_cov(2)
+    tail = NullTail(_identity_cov(2), 2, 200_000, seed=21)
+    assert tail.bound_pool is tail.pool
     t_obs = 1.3
-    p_direct, _ = exceedance_prob_mc(c2, t_obs, 2, 200_000, seed=21)
-    p_bound = pvalue_bound_kappa(c2, t_obs, 2, 200_000, seed=21)
-    assert p_bound == pytest.approx(p_direct, abs=1e-12)
+    assert tail.p_values(t_obs) == tail.pool.prob_above(t_obs)
 
 
 def test_pvalue_binomial_multiplier():
     c3 = _identity_cov(3)
     t_obs = 1.0
     joint = (1 - norm.cdf(t_obs)) ** 2
-    p = pvalue_bound_kappa(c3, t_obs, 2, 400_000, seed=2)
+    p, _ = NullTail(c3, 2, 400_000, seed=2).p_values(t_obs)
     assert p == pytest.approx(min(1.0, 6.0 * joint), rel=0.05)
 
 
 def test_pvalue_monotone_in_statistic():
-    c3 = _identity_cov(3)
-    ps = [pvalue_bound_kappa(c3, t, 3, 200_000, seed=6)
-          for t in (0.0, 0.5, 1.0, 2.0, 3.0)]
+    tail = NullTail(_identity_cov(3), 3, 200_000, seed=6)
+    ps, _ = tail.p_values(np.array([0.0, 0.5, 1.0, 2.0, 3.0]))
     assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
@@ -112,7 +158,21 @@ def test_pvalue_conservative_vs_subevent():
     pool = GaussianTailPool(c3.matrix, 2, 200_000, seed=12,
                             mode="leading-min")
     joint, _ = pool.prob_above(t_obs)
-    assert pvalue_bound_kappa(c3, t_obs, 2, 200_000, seed=12) >= joint
+    assert NullTail(c3, 2, 200_000, seed=12).p_values(t_obs)[0] >= joint
+
+
+def test_pvalues_array_matches_scalars():
+    # The vectorised p-values equal the scalar ones, for both branches,
+    # including the cap at 1 and the 1/samples floor.
+    stats = np.array([-1.0, 0.0, 0.4, 1.0, 2.5, 30.0])
+    for kappa in (3, 2):
+        tail = NullTail(_identity_cov(3), kappa, 100_000, seed=8)
+        ps, ses = tail.p_values(stats)
+        scalar = [tail.p_values(float(t)) for t in stats]
+        assert ps.tolist() == [p for p, _ in scalar]
+        assert ses.tolist() == [se for _, se in scalar]
+        assert ps.max() <= 1.0 and ps.min() == 1e-5
+    assert ps[0] == 1.0  # kappa < r: 6 x 0.25 capped at 1
 
 
 def test_pool_floor_and_validation():
@@ -121,7 +181,7 @@ def test_pool_floor_and_validation():
         GaussianTailPool(c1.matrix, 1, 10_000, seed=0)  # below MC minimum
     with pytest.raises(ValueError):
         GaussianTailPool(c1.matrix, 2, 200_000, seed=0)  # kappa > r
-    assert pvalue_bound_kappa(c1, 30.0, 1, 100_000, seed=0) == 1e-5
+    assert NullTail(c1, 1, 100_000, seed=0).p_values(30.0)[0] == 1e-5
 
 
 def _test_config(scale_set, **kw):
@@ -228,12 +288,10 @@ def test_stat_dcca_power_at_strong_correlation(full_table):
     ss = make_scales(n_samples, 20, 1000, 10, 1)
     params = FbmParams(hurst1=0.7, hurst2=0.8, rho=0.4)
     cov = rho_null_cov(ss.scales, n_samples, 0.7, 0.8, full_table)
-    pool = GaussianTailPool(cov.matrix, ss.r, 200_000, seed=44)
+    tail = NullTail(cov, ss.r, 200_000, seed=44)
     vectors = _rho_vectors("bfgn", params, n_samples, ss, 50, seed=909)
-    rejections = sum(
-        pool.prob_above(joint_statistic(vec, cov, ss.r))[0] <= 0.05
-        for vec in vectors)
-    assert rejections >= 45
+    p_vals, _ = tail.p_values(joint_statistic(vectors, cov, ss.r))
+    assert np.sum(p_vals <= 0.05) >= 45
 
 
 def test_config_validation():
