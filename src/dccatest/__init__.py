@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 
 from .series import (InfeasibleScalesError, ScaleSet, SeriesPair,
                      integrate_profile, load_pair, make_scales, write_pair)
-from .fluctuation import (FluctuationSet, HurstEstimate, dcca_coeff,
-                          detrend_window, fluctuation_analysis,
-                          hurst_estimate, rho_dcca, sign_log)
-from .fbm import (FbmParams, fbm_auto_cov, fbm_cross_cov, fgn_autocov,
-                  fgn_cross_cov)
-from .asymptotics import (CovTable, NullCovariance, fluct_cov_exact,
-                          fluct_mean_exact, load_covtab, rho_null_cov,
-                          save_covtab, tabulate, worst_case_cov)
-from .testkit import (NullTail, TestConfig, TestOutcome, stat_dcca,
+from .fluctuation import (FluctuationSet, HurstEstimate,
+                          fluctuation_analysis, hurst_estimate, rho_dcca,
+                          sign_log)
+from .fbm import FbmParams, fbm_auto_cov, fgn_autocov, fgn_cross_cov
+from .asymptotics import (CovTable, NullCovariance, fluct_mean_exact,
+                          load_covtab, rho_null_cov, save_covtab, tabulate,
+                          worst_case_cov)
+from .testkit import (GaussianTailPool, TestConfig, TestOutcome, stat_dcca,
                       test_statistic)
 from .simulate import (SimSpec, add_trend, gen_bfgn, gen_mixture,
                        gen_nongaussian, generate)
@@ -28,14 +27,13 @@ __all__ = [
     "__version__",
     "InfeasibleScalesError", "ScaleSet", "SeriesPair", "integrate_profile",
     "load_pair", "make_scales", "write_pair",
-    "FluctuationSet", "HurstEstimate", "dcca_coeff", "detrend_window",
-    "fluctuation_analysis", "hurst_estimate", "rho_dcca", "sign_log",
-    "FbmParams", "fbm_auto_cov", "fbm_cross_cov", "fgn_autocov",
-    "fgn_cross_cov",
-    "CovTable", "NullCovariance", "fluct_cov_exact", "fluct_mean_exact",
-    "load_covtab", "rho_null_cov", "save_covtab", "tabulate",
-    "worst_case_cov",
-    "NullTail", "TestConfig", "TestOutcome", "stat_dcca", "test_statistic",
+    "FluctuationSet", "HurstEstimate", "fluctuation_analysis",
+    "hurst_estimate", "rho_dcca", "sign_log",
+    "FbmParams", "fbm_auto_cov", "fgn_autocov", "fgn_cross_cov",
+    "CovTable", "NullCovariance", "fluct_mean_exact", "load_covtab",
+    "rho_null_cov", "save_covtab", "tabulate", "worst_case_cov",
+    "GaussianTailPool", "TestConfig", "TestOutcome", "stat_dcca",
+    "test_statistic",
     "SimSpec", "add_trend", "gen_bfgn", "gen_mixture", "gen_nongaussian",
     "generate",
 ]

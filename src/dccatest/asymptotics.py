@@ -138,27 +138,6 @@ def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
     return out
 
 
-def fluct_cov_exact(n: int, m: int, j: int, hurst1: float, hurst2: float,
-                    degree: int, kind: str = "cross") -> float:
-    """Exact covariance between fluctuation statistics of two windows.
-
-    Window 1 has size n at the origin; window 2 has size m and starts j
-    row-windows (j*n samples) later.  ``kind`` 'cross' is the DCCA
-    statistic under the null of independent components with Hurst
-    exponents (hurst1, hurst2); 'auto' is the DFA statistic of the first
-    component, which carries the Gaussian factor 2.
-    """
-    if j < 0:
-        raise ValueError("window offset must be non-negative")
-    if kind == "cross":
-        return float(_cross_cov_disp_batch(
-            n, m, np.array([j * n]), hurst1, hurst2, degree)[0])
-    if kind == "auto":
-        return 2.0 * float(_cross_cov_disp_batch(
-            n, m, np.array([j * n]), hurst1, hurst1, degree)[0])
-    raise ValueError(f"unknown covariance kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Asymptotic displacement sums
 # ---------------------------------------------------------------------------
@@ -412,6 +391,17 @@ def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int,
     return var_sum / n_tab ** (2.0 * (h + g)), corrs, jmax
 
 
+def matches_tabulation(table: CovTable, grid, n_tab: int, ratios,
+                       degree: int) -> bool:
+    """Whether ``tabulate`` with these settings resumes from ``table``:
+    the same degree, n_tab, Hurst grid and realised window ratios."""
+    sizes = ratio_window_sizes(n_tab, ratios, degree)
+    return (table.degree == degree and table.n_tab == n_tab
+            and np.array_equal(table.grid, sorted(set(float(h)
+                                                      for h in grid)))
+            and np.array_equal(table.ratios, [s / n_tab for s in sizes]))
+
+
 def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
              ratios=DEFAULT_RATIOS, degree: int = 1,
              tail_tol: float = DEFAULT_TAIL_TOL,
@@ -437,11 +427,8 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
     ratio_vals = np.array([s / n_tab for s in sizes])
 
     nh, nq = len(grid), len(sizes)
-    if (resume_from is not None
-            and resume_from.degree == degree
-            and resume_from.n_tab == n_tab
-            and np.array_equal(resume_from.grid, grid)
-            and np.array_equal(resume_from.ratios, ratio_vals)):
+    if resume_from is not None and matches_tabulation(resume_from, grid,
+                                                      n_tab, ratios, degree):
         variance = resume_from.variance.copy()
         correlation = resume_from.correlation.copy()
         auto_mean = resume_from.auto_mean.copy()

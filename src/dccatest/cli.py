@@ -6,7 +6,9 @@ machine-readable report; ``simulate`` writes synthetic pairs;
 the validation studies and writes CSV results.
 
 Exit codes: 0 success, 2 usage or input error, 3 infeasible scale
-configuration.
+configuration, 4 internal numerical failure (a covariance that is not
+positive semidefinite, a failed factorisation or convergence, a
+Cauchy-Schwarz breach).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (CovTable, DEFAULT_RATIOS, DEFAULT_TAIL_TOL,
-                          load_covtab, loads_covtab, save_covtab, tabulate)
+                          load_covtab, loads_covtab, matches_tabulation,
+                          save_covtab, tabulate)
 from .fbm import FbmParams
 from .fluctuation import sign_log
 from .series import InfeasibleScalesError, load_pair, make_scales, write_pair
@@ -281,9 +284,14 @@ def cmd_tabulate(args) -> int:
     if args.resume:
         try:
             resume_from = load_covtab(args.out, allow_partial=True)
+        except (OSError, ValueError):
+            pass
+        if resume_from is not None and matches_tabulation(
+                resume_from, grid, args.n_tab, ratios, args.degree):
             done = int(np.sum(~np.isnan(resume_from.variance)))
             print(f"resuming: {done} grid entries already tabulated")
-        except (OSError, ValueError):
+        else:
+            resume_from = None
             print("no usable partial table found; starting fresh")
 
     def progress(done, total, h, g):
@@ -458,9 +466,12 @@ def main(argv=None) -> int:
     except InfeasibleScalesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

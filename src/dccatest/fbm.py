@@ -46,10 +46,6 @@ class FbmParams:
             raise ValueError("scale parameters must be positive")
 
     @property
-    def is_null(self) -> bool:
-        return self.rho == 0.0 and self.eta == 0.0
-
-    @property
     def is_long_range(self) -> bool:
         return self.hurst1 >= 0.5 and self.hurst2 >= 0.5
 
@@ -71,35 +67,6 @@ def fbm_auto_cov(s, t, hurst: float, sigma: float = 1.0) -> np.ndarray:
     return 0.5 * sigma * sigma * (
         np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2
     )
-
-
-def fbm_cross_cov(s, t, params: FbmParams) -> float | np.ndarray:
-    """E(X1(s)X2(t)) of bivariate fBm at non-negative times.
-
-    Selects the power-law branch when hurst1 + hurst2 differs from 1 and
-    the logarithmic branch inside a 1e-9 band around hurst1 + hurst2 = 1.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s < 0) or np.any(t < 0):
-        raise ValueError("cross kernel is defined for non-negative times")
-    hg = params.hurst1 + params.hurst2
-    rho, eta = params.rho, params.eta
-    amp = 0.5 * params.sigma1 * params.sigma2
-    if abs(hg - 1.0) < _LOG_BRANCH_TOL:
-        val = amp * (
-            rho * (np.abs(s) + np.abs(t) - np.abs(t - s))
-            + eta * (_xlogx(t) + _xlogx(s) - _xlogx(t - s))
-        )
-    else:
-        val = amp * (
-            (rho + eta * np.sign(s)) * np.abs(s) ** hg
-            + (rho - eta * np.sign(t)) * np.abs(t) ** hg
-            - (rho - eta * np.sign(t - s)) * np.abs(t - s) ** hg
-        )
-    if val.ndim == 0:
-        return float(val)
-    return val
 
 
 def fgn_autocov(k, hurst: float, sigma: float = 1.0) -> float | np.ndarray:

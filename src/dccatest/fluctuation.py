@@ -41,13 +41,6 @@ def poly_basis(n: int, degree: int) -> np.ndarray:
     return q
 
 
-def detrend_window(w: np.ndarray, degree: int) -> np.ndarray:
-    """Residual of the degree-d least-squares polynomial fit at 1..n."""
-    w = np.asarray(w, dtype=float)
-    basis = poly_basis(len(w), degree)
-    return w - basis @ (basis.T @ w)
-
-
 def _window_residuals(x: np.ndarray, n: int, degree: int) -> np.ndarray:
     """Residual matrix ([N/n] x n) of all complete windows of a profile."""
     m = len(x) // n
@@ -56,21 +49,6 @@ def _window_residuals(x: np.ndarray, n: int, degree: int) -> np.ndarray:
     w = x[: m * n].reshape(m, n)
     basis = poly_basis(n, degree)
     return w - (w @ basis) @ basis.T
-
-
-def dcca_coeff(xa: np.ndarray, xb: np.ndarray, n: int, degree: int) -> float:
-    """Signed cross-fluctuation F2 of two profiles at scale n."""
-    xa = np.asarray(xa, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    if len(xa) != len(xb):
-        raise ValueError("profiles must have equal length")
-    if len(xa) < 2 * n:
-        raise ValueError(
-            f"scale {n} leaves fewer than 2 windows in {len(xa)} samples"
-        )
-    ra = _window_residuals(xa, n, degree)
-    rb = _window_residuals(xb, n, degree)
-    return float(np.sum(ra * rb) / ra.size)
 
 
 def rho_dcca(f2_cross: float, f2_auto1: float, f2_auto2: float) -> float:

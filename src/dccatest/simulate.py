@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,8 +112,12 @@ def _gen_bfgn_dense(n: int, params: FbmParams,
     return z[:n], z[n:]
 
 
-def _spectral_blocks(n: int, params: FbmParams):
-    """Per-frequency 2x2 spectral blocks of the circulant embedding."""
+@lru_cache(maxsize=4)
+def _circulant_root(n: int, params: FbmParams):
+    """Embedding length and the per-frequency 2x2 square root (b11, b22,
+    b12) of the circulant embedding's spectral blocks, after checking
+    that every block is positive semidefinite.  Cached per (n, params)
+    and read-only, since every replicate of a study shares them."""
     length = 1 << max(4, int(math.ceil(math.log2(2 * n))))
     half = length // 2
     g11, g22, g12_pos, g12_neg = _increment_cov_sequences(half + 1, params)
@@ -123,20 +128,10 @@ def _spectral_blocks(n: int, params: FbmParams):
         c[half + 1:] = neg[1:half][::-1]
         return c
 
-    c11 = embed(g11, g11)
-    c22 = embed(g22, g22)
+    lam11 = np.fft.fft(embed(g11, g11)).real
+    lam22 = np.fft.fft(embed(g22, g22)).real
     # Cross block oriented so that E[eps1(t) eps2(t+k)] = gamma12(k).
-    c12 = embed(g12_neg, g12_pos)
-    lam11 = np.fft.fft(c11).real
-    lam22 = np.fft.fft(c22).real
-    lam12 = np.fft.fft(c12)
-    return length, lam11, lam22, lam12
-
-
-def _gen_bfgn_circulant(n: int, params: FbmParams,
-                        rng: np.random.Generator
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    length, lam11, lam22, lam12 = _spectral_blocks(n, params)
+    lam12 = np.fft.fft(embed(g12_neg, g12_pos))
     scale = max(lam11.max(), lam22.max())
     if lam11.min() < -_EMBED_TOL * scale or lam22.min() < -_EMBED_TOL * scale:
         raise ValueError("circulant embedding has negative auto spectrum")
@@ -153,10 +148,17 @@ def _gen_bfgn_circulant(n: int, params: FbmParams,
     # sqrt(M) = (M + sqrt(det) I) / sqrt(trace + 2 sqrt(det)) for 2x2 PSD.
     sq_det = np.sqrt(det)
     denom = np.sqrt(np.clip(lam11 + lam22 + 2.0 * sq_det, 1e-300, None))
-    b11 = (lam11 + sq_det) / denom
-    b22 = (lam22 + sq_det) / denom
-    b12 = lam12 / denom
+    root = ((lam11 + sq_det) / denom, (lam22 + sq_det) / denom,
+            lam12 / denom)
+    for block in root:
+        block.setflags(write=False)
+    return length, *root
 
+
+def _gen_bfgn_circulant(n: int, params: FbmParams,
+                        rng: np.random.Generator
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    length, b11, b22, b12 = _circulant_root(n, params)
     xi = rng.standard_normal((2, 2, length))
     xi1 = (xi[0, 0] + 1j * xi[0, 1]) / math.sqrt(2.0)
     xi2 = (xi[1, 0] + 1j * xi[1, 1]) / math.sqrt(2.0)
@@ -203,8 +205,10 @@ def _signed_power_std(phi: float) -> float:
     return math.sqrt(2.0 ** phi * math.gamma(phi + 0.5) / math.sqrt(math.pi))
 
 
+@lru_cache(maxsize=4)
 def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:
-    """Nonnegative circulant spectrum of fGn on a length >= 2n grid."""
+    """Nonnegative circulant spectrum of fGn on a length >= 2n grid;
+    cached and read-only like ``_circulant_root``."""
     length = 1 << max(4, int(math.ceil(math.log2(2 * n))))
     half = length // 2
     g = np.asarray(fgn_autocov(np.arange(half + 1), hurst))
@@ -212,8 +216,9 @@ def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:
     c[: half + 1] = g
     c[half + 1:] = g[1:half][::-1]
     lam = np.fft.fft(c).real
-    lam = np.clip(lam, 0.0, None)
-    return length, np.sqrt(lam)
+    gain = np.sqrt(np.clip(lam, 0.0, None))
+    gain.setflags(write=False)
+    return length, gain
 
 
 def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:

@@ -20,7 +20,7 @@ from .fbm import FbmParams
 from .fluctuation import fluctuation_analysis
 from .series import make_scales
 from .simulate import SimSpec, generate
-from .testkit import NullTail, scaled_rho, test_statistic
+from .testkit import GaussianTailPool, scaled_rho, test_statistic
 
 STUDY_NAMES = ("calibration", "nongaussian", "shortrange", "upperbound",
                "power", "speed")
@@ -55,10 +55,10 @@ def _rho_vectors(kind: str, params: FbmParams, n_samples: int, scale_set,
     return out
 
 
-def _score(tail: NullTail, vectors: np.ndarray, cov, level: float):
+def _score(pool: GaussianTailPool, vectors: np.ndarray, cov, level: float):
     """Statistics, p-values (as lists) and rejections of all replicates."""
     stats = test_statistic(vectors, cov, cov.r)
-    p_vals, _ = tail.p_values(stats)
+    p_vals, _ = pool.p_values(stats)
     return stats.tolist(), p_vals.tolist(), p_vals <= level
 
 
@@ -80,12 +80,12 @@ def null_calibration(table: CovTable, *, kind: str = "bfgn",
     params = FbmParams(hurst1=hurst1, hurst2=hurst2, rho=0.0)
     cov = rho_null_cov(scale_set.scales, n_samples, hurst1, hurst2, table,
                        degree)
-    tail = NullTail(cov, scale_set.r, mc_samples, seed)
-    theta_star = tail.threshold(level)
+    pool = GaussianTailPool(cov.matrix, scale_set.r, mc_samples, seed)
+    theta_star = pool.threshold(level)
 
     vectors = _rho_vectors(kind, params, n_samples, scale_set, replicates,
                            seed, phi=phi, progress=progress, mapper=mapper)
-    stats, p_vals, reject = _score(tail, vectors, cov, level)
+    stats, p_vals, reject = _score(pool, vectors, cov, level)
     rows = [{"replicate": i, "statistic": t, "p_value": p, "reject": int(x)}
             for i, (t, p, x) in enumerate(zip(stats, p_vals, reject))]
     return {
@@ -116,15 +116,15 @@ def shortrange_robustness(table: CovTable, *, hurst: float = 0.9,
     params = FbmParams(hurst1=hurst, hurst2=hurst, rho=0.0)
     cov = rho_null_cov(scale_set.scales, n_samples, hurst, hurst, table,
                        degree)
-    tail = NullTail(cov, scale_set.r, mc_samples, seed)
-    theta_star = tail.threshold(level)
+    pool = GaussianTailPool(cov.matrix, scale_set.r, mc_samples, seed)
+    theta_star = pool.threshold(level)
     z_bonf = NormalDist().inv_cdf(1.0 - level / (2.0 * scale_set.r))
     diag_std = np.sqrt(np.diag(cov.matrix))
 
     vectors = _rho_vectors("mixture", params, n_samples, scale_set,
                            replicates, seed, weight=weight, cutoff=cutoff,
                            sr_rho=sr_rho, progress=progress, mapper=mapper)
-    stats, p_vals, joint = _score(tail, vectors, cov, level)
+    stats, p_vals, joint = _score(pool, vectors, cov, level)
     bonf = np.any(np.abs(vectors) / diag_std > z_bonf, axis=1)
     rows = [{"replicate": i, "statistic": t, "p_value": p,
              "reject_joint": int(x), "reject_bonferroni": int(b)}
@@ -158,7 +158,8 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
 
     wc = worst_case_cov(scales, n_samples, (grid[0], grid[-1]),
                         (grid[0], grid[-1]), table, degree)
-    wc_theta = NullTail(wc, scale_set.r, mc_samples, seed).threshold(level)
+    wc_theta = GaussianTailPool(wc.matrix, scale_set.r, mc_samples,
+                                seed).threshold(level)
     wc_bounds = wc.rho_bounds(wc_theta)
 
     rows = []
@@ -168,8 +169,8 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
         for g in grid:
             cov = rho_null_cov(scales, n_samples, float(h), float(g), table,
                                degree)
-            theta = NullTail(cov, scale_set.r, mc_samples,
-                             seed).threshold(level)
+            theta = GaussianTailPool(cov.matrix, scale_set.r, mc_samples,
+                                     seed).threshold(level)
             bounds = cov.rho_bounds(theta)
             exceed = int(np.any(bounds > wc_bounds + 1e-12))
             violations += exceed
@@ -207,7 +208,7 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
     scale_set = make_scales(n_samples, n_min, n_max, r, degree)
     cov = rho_null_cov(scale_set.scales, n_samples, hurst1, hurst2, table,
                        degree)
-    tail = NullTail(cov, scale_set.r, mc_samples, seed)
+    pool = GaussianTailPool(cov.matrix, scale_set.r, mc_samples, seed)
 
     rows = []
     rates = {}
@@ -223,7 +224,7 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
         vectors = _rho_vectors("bfgn", params, n_samples, scale_set,
                                replicates, seed, progress=tick, mapper=mapper)
         done += replicates
-        stats, p_vals, reject = _score(tail, vectors, cov, level)
+        stats, p_vals, reject = _score(pool, vectors, cov, level)
         rows += [{"rho": float(rho), "replicate": i, "statistic": t,
                   "p_value": p, "reject": int(x)}
                  for i, (t, p, x) in enumerate(zip(stats, p_vals, reject))]
@@ -259,7 +260,8 @@ def speed_study(table: CovTable, *, hurst1: float = 0.7, hurst2: float = 0.8,
     cov = rho_null_cov(scale_set.scales, n_samples, hurst1, hurst2, table,
                        degree)
     t_obs = test_statistic(observed, cov, kappa)
-    p_tab = NullTail(cov, kappa, mc_samples, seed + 1).p_values(t_obs)[0]
+    p_tab = GaussianTailPool(cov.matrix, kappa, mc_samples,
+                             seed + 1).p_values(t_obs)[0]
     tabulated_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

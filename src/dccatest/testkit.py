@@ -5,18 +5,16 @@ that at least kappa of the r scaled coefficients sqrt([N/n_i]) rho(n_i)
 exceed lambda * sqrt(C_ii) simultaneously, on the better of the two sign
 branches; equivalently the kappa-th largest standardised value.
 
-Its null distribution lives in one object, :class:`NullTail`, built from
-Monte Carlo draws of N(0, C).  It gives the critical threshold theta*
-and the p-values of any number of statistics at once: for kappa = r the
-estimated exceedance probability itself, for kappa < r the conservative
-binomial bound min(1, 2 C(r, kappa) Pr(leading kappa coordinates jointly
-exceed)); every p-value is capped at 1 and floored at the 1/samples
-Monte Carlo resolution.
+Its null distribution lives in one object, :class:`GaussianTailPool`,
+built from Monte Carlo draws of N(0, C): each draw is scored with the
+same statistic, so for every kappa the pool's tail above an observed
+value is that value's p-value, floored at the 1/samples Monte Carlo
+resolution.  The critical threshold theta* is read from the same sorted
+pool.
 
-Rejection is decided from the p-value (reject iff p <= level).  For
-kappa = r this agrees with the critical-region rule T > theta* up to the
-0.01 grid resolution of the threshold search; for kappa < r the binomial
-bound is the deciding quantity and theta* is reported for reference.
+Rejection is decided from the p-value (reject iff p <= level).  This
+agrees with the critical-region rule T > theta* up to the 0.01 grid
+resolution of the threshold.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ _POOL_THREADS = 2
 # size OpenBLAS runs on the calling thread rather than on its own worker
 # threads, which would spin on the cores the pool's threads use.
 _BLOCK_MADDS = 1 << 18
-_THETA_MAX = 50.0
 _THETA_STEP = 0.01
 MIN_MC_SAMPLES = 100_000
 
@@ -65,35 +62,30 @@ def _factor_cov(matrix: np.ndarray) -> np.ndarray:
 
 
 class GaussianTailPool:
-    """Sorted Monte Carlo pool of per-draw test statistics under N(0, C).
+    """Monte Carlo null of the joint statistic under N(0, C).
 
-    mode 'kth': the two-sided kappa-subset statistic (critical region
-    membership is T > theta).  mode 'leading-min': one-sided joint
-    minimum of the first kappa standardised coordinates, used by the
-    binomial p-value bound.  Chunked generation with seeds derived from
-    a SeedSequence keeps results reproducible and independent of chunk
-    scheduling, so chunks are filled on two threads.
+    Holds the sorted kappa-th order statistic (the better of the two sign
+    branches) of ``samples`` draws, which gives the critical threshold
+    and the p-values.  Chunked generation with seeds derived from a
+    SeedSequence keeps results reproducible and independent of chunk
+    scheduling, so chunks are filled on two threads; a pool rebuilt from
+    the same arguments gives the same numbers.
     """
 
     def __init__(self, matrix: np.ndarray, kappa: int, samples: int,
-                 seed: int, mode: str = "kth"):
+                 seed: int):
         matrix = np.asarray(matrix, dtype=float)
         r = matrix.shape[0]
         if not 1 <= kappa <= r:
             raise ValueError(f"kappa must lie in 1..{r}")
         if samples < MIN_MC_SAMPLES:
             raise ValueError(f"need at least {MIN_MC_SAMPLES} MC samples")
-        if mode not in ("kth", "leading-min"):
-            raise ValueError(f"unknown pool mode {mode!r}")
-        if mode == "leading-min":
-            matrix = matrix[:kappa, :kappa]
         factor = _factor_cov(matrix)
         std = np.sqrt(np.diag(matrix))
-        dim = matrix.shape[0]
 
         n_chunks = (samples + _CHUNK - 1) // _CHUNK
         seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-        rows = max(1, _BLOCK_MADDS // dim ** 2)
+        rows = max(1, _BLOCK_MADDS // r ** 2)
         values = np.empty(samples)
 
         def fill(i):
@@ -103,20 +95,15 @@ class GaussianTailPool:
             stop = min((i + 1) * _CHUNK, samples)
             for start in range(i * _CHUNK, stop, rows):
                 out = values[start:min(start + rows, stop)]
-                s = rng.standard_normal((len(out), dim)) @ factor.T
+                s = rng.standard_normal((len(out), r)) @ factor.T
                 s /= std
-                if mode == "kth":
-                    np.maximum(*_branch_levels(s, kappa), out=out)
-                else:
-                    s.min(axis=1, out=out)
+                np.maximum(*_branch_levels(s, kappa), out=out)
 
         with ThreadPoolExecutor(min(_POOL_THREADS, n_chunks)) as executor:
             list(executor.map(fill, range(n_chunks)))
         values.sort()
         self.values = values
         self.samples = samples
-        self.kappa = kappa
-        self.mode = mode
 
     def prob_above(self, theta):
         """(estimate, binomial standard error) of Pr(statistic > theta),
@@ -127,57 +114,33 @@ class GaussianTailPool:
         return p, np.sqrt(p * (1.0 - p) / self.samples)
 
     def threshold(self, level: float) -> float:
-        """Smallest theta on the 0.01 grid with Pr-hat(> theta) < level."""
-        if not 0.0 < level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
-        n_grid = int(round(_THETA_MAX / _THETA_STEP))
-        if self.prob_above(_THETA_MAX)[0] >= level:
-            raise RuntimeError(
-                f"failed to bracket level {level} within theta <= {_THETA_MAX}"
+        """Smallest theta on the 0.01 grid with Pr-hat(> theta) < level.
+
+        At most c = ceil(level M) - 1 of the M draws may lie above theta,
+        so theta must reach the (c+1)-th largest draw; that draw is
+        rounded up to the grid.  The grid point is compared as the
+        product k * 0.01, the value returned.
+        """
+        if not 1.0 / self.samples <= level < 1.0:
+            raise ValueError(
+                f"level must lie in [1/{self.samples}, 1): the Monte Carlo "
+                "resolution of the p-value is 1/samples"
             )
-        lo, hi = 0, n_grid  # invariant: prob(hi*step) < level
-        if self.prob_above(0.0)[0] < level:
-            return 0.0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.prob_above(mid * _THETA_STEP)[0] < level:
-                hi = mid
-            else:
-                lo = mid
-        return hi * _THETA_STEP
-
-
-class NullTail:
-    """Monte Carlo null of the joint statistic for one covariance.
-
-    Holds the kth-order pool, which gives the critical threshold, and
-    for kappa < r the leading-min pool behind the binomial bound.
-    Every pool is built from (covariance, kappa, samples, seed), so a
-    tail rebuilt from the same arguments gives the same numbers.
-    """
-
-    def __init__(self, cov: NullCovariance, kappa: int, samples: int,
-                 seed: int):
-        self.pool = GaussianTailPool(cov.matrix, kappa, samples, seed)
-        self.bound_pool = self.pool
-        self.multiplier = 1.0
-        if kappa < cov.r:
-            self.bound_pool = GaussianTailPool(cov.matrix, kappa, samples,
-                                               seed, mode="leading-min")
-            self.multiplier = 2.0 * math.comb(cov.r, kappa)
-        self.floor = 1.0 / samples
-
-    def threshold(self, level: float) -> float:
-        """Critical theta* of the kth-order pool at the given level."""
-        return self.pool.threshold(level)
+        c = math.ceil(level * self.samples) - 1
+        crossing = self.values[self.samples - 1 - c]
+        k = math.ceil(crossing / _THETA_STEP)
+        while k * _THETA_STEP < crossing:
+            k += 1
+        while (k - 1) * _THETA_STEP >= crossing:
+            k -= 1
+        return k * _THETA_STEP
 
     def p_values(self, stats):
         """(p-value, standard error) of observed statistics, elementwise
-        for an array: the bound-pool tail times 2 C(r, kappa) when
-        kappa < r, capped at 1 and floored at 1/samples."""
-        p, se = self.bound_pool.prob_above(stats)
-        p = np.minimum(1.0, np.maximum(self.multiplier * p, self.floor))
-        se = self.multiplier * se
+        for an array: the pool's tail above each, floored at the
+        1/samples Monte Carlo resolution."""
+        p, se = self.prob_above(stats)
+        p = np.maximum(p, 1.0 / self.samples)
         if np.ndim(stats) == 0:
             return float(p), float(se)
         return p, se
@@ -344,9 +307,10 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     rho_sc = scaled_rho(fluct.rho, counts)
     t_obs = test_statistic(rho_sc, cov, kappa)
 
-    tail = NullTail(cov, kappa, config.mc_samples, config.seed)
-    theta_star = tail.threshold(config.level)
-    p_value, p_stderr = tail.p_values(t_obs)
+    pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples,
+                            config.seed)
+    theta_star = pool.threshold(config.level)
+    p_value, p_stderr = pool.p_values(t_obs)
 
     reject = p_value <= config.level
     direction = statistic_direction(rho_sc, cov, kappa) if reject else "none"

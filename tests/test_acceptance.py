@@ -10,17 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from dccatest.asymptotics import (fluct_cov_exact, fluct_mean_exact,
-                                  rho_null_cov)
+from dccatest.asymptotics import fluct_mean_exact, rho_null_cov
 from dccatest.fbm import FbmParams, fbm_auto_cov
-from dccatest.fluctuation import (dcca_coeff, fluctuation_analysis,
-                                  poly_basis, rho_dcca)
+from dccatest.fluctuation import fluctuation_analysis, poly_basis, rho_dcca
 from dccatest.series import SeriesPair, make_scales
 from dccatest.studies import (_rho_vectors, power_study,
                               shortrange_robustness, speed_study,
                               upperbound_check)
-from dccatest.testkit import NullTail
+from dccatest.testkit import GaussianTailPool
 from dccatest.testkit import test_statistic as joint_statistic
+from oracles import dcca_coeff, fluct_cov_exact
 
 LEVEL = 0.05
 CAL_N = 10_000
@@ -39,7 +38,7 @@ def cal_cov(full_table, cal_scales):
 
 @pytest.fixture(scope="module")
 def cal_tail(cal_cov):
-    return NullTail(cal_cov, cal_cov.r, 400_000, seed=424)
+    return GaussianTailPool(cal_cov.matrix, cal_cov.r, 400_000, seed=424)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +152,16 @@ def test_criterion_4_null_calibration(null_vectors, cal_cov, cal_tail):
           f"(level {LEVEL}, 2000 replicates, N={CAL_N})")
 
 
+def test_kappa_below_r_null_calibration(null_vectors, cal_cov):
+    # For kappa = r - 1 the p-value is the kth-order pool's own tail,
+    # calibrated like kappa = r on criterion 4's replicates.
+    kappa = cal_cov.r - 1
+    pool = GaussianTailPool(cal_cov.matrix, kappa, 400_000, seed=424)
+    stats = joint_statistic(null_vectors[:2000], cal_cov, kappa)
+    rate = float(np.mean(pool.p_values(stats)[0] <= LEVEL))
+    assert 0.03 <= rate <= 0.08, rate
+
+
 def test_criterion_5_tail_agreement(null_vectors, cal_cov, cal_tail):
     theta = cal_tail.threshold(0.03)
     theoretical = cal_tail.p_values(theta)[0]
@@ -216,13 +225,15 @@ def test_criterion_10_mc_stability_and_speed(full_table):
     cov = rho_null_cov(scales.scales, 20_000, CAL_H, CAL_G, full_table)
     # Threshold calibrated by a 10^7-sample oracle pool, then checked
     # for stability with repeated 10^6-sample runs.
-    theta = NullTail(cov, 25, 10_000_000, seed=1).threshold(LEVEL)
+    theta = GaussianTailPool(cov.matrix, 25, 10_000_000,
+                             seed=1).threshold(LEVEL)
 
     estimates = []
     worst_time = 0.0
     for k in range(20):
         t0 = time.perf_counter()
-        p, _ = NullTail(cov, 25, 1_000_000, seed=1000 + k).p_values(theta)
+        p, _ = GaussianTailPool(cov.matrix, 25, 1_000_000,
+                                seed=1000 + k).p_values(theta)
         worst_time = max(worst_time, time.perf_counter() - t0)
         estimates.append(p)
     spread = float(np.std(estimates))

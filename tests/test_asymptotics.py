@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dccatest.asymptotics import (f2_variance_limit, fluct_cov_exact,
-                                  fluct_mean_exact, load_covtab, rho_null_cov,
-                                  save_covtab, tabulate, worst_case_cov)
+from dccatest.asymptotics import (f2_variance_limit, fluct_mean_exact,
+                                  load_covtab, rho_null_cov, save_covtab,
+                                  tabulate, worst_case_cov)
 from dccatest.fbm import fbm_auto_cov
 from dccatest.fluctuation import poly_basis
+from oracles import fluct_cov_exact
 
 
 def test_mean_hand_computation():

@@ -117,6 +117,25 @@ def test_analyze_exit_codes(tmp_path, table_file):
                  "--hurst", "known:0.7"]) == 2
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    (RuntimeError("covariance factorization failed"), 4, "internal error:"),
+    (ValueError("bad input"), 2, "error:"),
+])
+def test_analyze_internal_failure_exit_code(tmp_path, table_file, capsys,
+                                            monkeypatch, error, code,
+                                            prefix):
+    # A numerical failure inside the test is told apart from user error.
+    data = _simulate(tmp_path)
+
+    def fail(*_args):
+        raise error
+
+    monkeypatch.setattr("dccatest.cli.stat_dcca", fail)
+    capsys.readouterr()
+    assert main(["analyze", data, "--table", table_file]) == code
+    assert capsys.readouterr().err.startswith(f"{prefix} {error}")
+
+
 def test_analyze_white_noise_warns(tmp_path, table_file, capsys):
     out_file = str(tmp_path / "wn.csv")
     main(["simulate", "--kind", "bfgn", "--N", "6000", "--H", "0.5",
@@ -177,15 +196,19 @@ def test_tabulate_resume_completes_partial(tmp_path, table_file):
                                                  rel=1e-12)
 
 
-def test_tabulate_jobs_resume_on_new_grid_starts_fresh(tmp_path):
+def test_tabulate_jobs_resume_on_new_grid_starts_fresh(tmp_path, capsys):
     # A partial table on another grid is not resumed, in parallel as in
-    # serial; the parallel table is byte-identical to the serial one.
+    # serial, and the message says so; the parallel table is
+    # byte-identical to the serial one.
     common = ["--n-tab", "128", "--ratios", "0.25,0.5,1.0"]
     old = str(tmp_path / "t.covtab")
     assert main(["tabulate", "--grid", "0.6:0.62:0.02", *common,
                  "--out", old]) == 0
+    capsys.readouterr()
     assert main(["tabulate", "--grid", "0.6:0.66:0.02", *common,
                  "--resume", "--jobs", "2", "--out", old]) == 0
+    out = capsys.readouterr().out
+    assert "starting fresh" in out and "resuming" not in out
     serial = str(tmp_path / "serial.covtab")
     assert main(["tabulate", "--grid", "0.6:0.66:0.02", *common,
                  "--out", serial]) == 0

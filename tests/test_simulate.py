@@ -5,7 +5,8 @@ from scipy.stats import ks_2samp
 from dccatest.fbm import FbmParams, fgn_autocov
 from dccatest.fluctuation import fluctuation_analysis, hurst_estimate
 from dccatest.series import make_scales
-from dccatest.simulate import (SimSpec, _bfgn_from_rng, _highpass,
+from dccatest.simulate import (SimSpec, _bfgn_from_rng, _circulant_root,
+                               _fgn_filter_gains, _highpass,
                                _signed_power_std, add_trend, gen_bfgn,
                                gen_mixture, gen_nongaussian, generate,
                                replicate_rng)
@@ -23,6 +24,18 @@ def test_determinism_and_replicates():
     c = generate(_spec(seed=5), replicate=4)
     assert np.array_equal(a.y1, b.y1) and np.array_equal(a.y2, b.y2)
     assert not np.array_equal(a.y1, c.y1)
+
+
+def test_spectral_roots_cached_read_only():
+    # Replicates share one circulant root and one filter gain per
+    # (n, params); no caller can change them for the next replicate.
+    params = _spec().params
+    root = _circulant_root(4096, params)
+    assert _circulant_root(4096, params) is root
+    gains = _fgn_filter_gains(4096, 0.7)
+    assert _fgn_filter_gains(4096, 0.7) is gains
+    for block in (*root[1:], gains[1]):
+        assert not block.flags.writeable
 
 
 def test_spec_validation():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dccatest.asymptotics import NullCovariance, rho_null_cov
 from dccatest.series import SeriesPair, make_scales
 from dccatest.simulate import SimSpec, add_trend, gen_bfgn
 from dccatest.fbm import FbmParams
-from dccatest.testkit import (_CHUNK, GaussianTailPool, NullTail, TestConfig,
+from dccatest.testkit import (_CHUNK, GaussianTailPool, TestConfig,
                               stat_dcca, statistic_direction)
 from dccatest.testkit import test_statistic as joint_statistic
 
@@ -58,27 +60,24 @@ def test_statistic_rows_match_vectors(rng):
 
 
 def test_exceedance_univariate_tail():
-    tail = NullTail(_identity_cov(1), 1, 200_000, seed=7)
-    p, se = tail.p_values(1.6449)
+    pool = GaussianTailPool(np.eye(1), 1, 200_000, seed=7)
+    p, se = pool.p_values(1.6449)
     assert abs(p - 0.10) < 4 * se + 1e-3
     # No draw lies above 20: the raw tail is 0, the p-value its floor.
-    assert tail.pool.prob_above(20.0)[0] == 0.0
-    assert tail.p_values(20.0)[0] == 1.0 / 200_000
+    assert pool.prob_above(20.0)[0] == 0.0
+    assert pool.p_values(20.0)[0] == 1.0 / 200_000
 
 
 def test_exceedance_deterministic():
-    c2 = _identity_cov(2)
-    a = NullTail(c2, 2, 150_000, seed=3).p_values(1.0)
-    b = NullTail(c2, 2, 150_000, seed=3).p_values(1.0)
+    a = GaussianTailPool(np.eye(2), 2, 150_000, seed=3).p_values(1.0)
+    b = GaussianTailPool(np.eye(2), 2, 150_000, seed=3).p_values(1.0)
     assert a == b
-    c = NullTail(c2, 2, 150_000, seed=4).p_values(1.0)
+    c = GaussianTailPool(np.eye(2), 2, 150_000, seed=4).p_values(1.0)
     assert a != c
 
 
-def _whole_chunk_pool(matrix, kappa, samples, seed, mode):
+def _whole_chunk_pool(matrix, kappa, samples, seed):
     """Pool values drawn and reduced one whole chunk at a time."""
-    if mode == "leading-min":
-        matrix = matrix[:kappa, :kappa]
     factor = np.linalg.cholesky(matrix)
     std = np.sqrt(np.diag(matrix))
     n_chunks = -(-samples // _CHUNK)
@@ -90,8 +89,7 @@ def _whole_chunk_pool(matrix, kappa, samples, seed, mode):
         s = (draws @ factor.T) / std
         ordered = np.sort(s, axis=1)
         parts.append(np.maximum(ordered[:, len(std) - kappa],
-                                -ordered[:, kappa - 1])
-                     if mode == "kth" else s.min(axis=1))
+                                -ordered[:, kappa - 1]))
     return np.sort(np.concatenate(parts))
 
 
@@ -102,86 +100,116 @@ def test_pool_matches_whole_chunk_draws(r):
     a = np.random.default_rng(r).standard_normal((r, r))
     matrix = a @ a.T + r * np.eye(r)
     samples = 2 * _CHUNK + 5
-    for kappa, mode in ((r, "kth"), (r - 1, "kth"), (1, "kth"),
-                        (r - 1, "leading-min")):
-        if kappa < 1:
-            continue
-        pool = GaussianTailPool(matrix, kappa, samples, seed=r, mode=mode)
-        ref = _whole_chunk_pool(matrix, kappa, samples, r, mode)
-        assert np.array_equal(pool.values, ref), (kappa, mode)
+    for kappa in (r, r - 1, 1):
+        pool = GaussianTailPool(matrix, kappa, samples, seed=r)
+        ref = _whole_chunk_pool(matrix, kappa, samples, r)
+        assert np.array_equal(pool.values, ref), kappa
 
 
 def test_crit_threshold_univariate():
-    tail = NullTail(_identity_cov(1), 1, 400_000, seed=11)
-    assert tail.threshold(0.05) == pytest.approx(1.96, abs=0.02)
-    assert tail.threshold(0.5) == pytest.approx(0.674, abs=0.02)
+    pool = GaussianTailPool(np.eye(1), 1, 400_000, seed=11)
+    assert pool.threshold(0.05) == pytest.approx(1.96, abs=0.02)
+    assert pool.threshold(0.5) == pytest.approx(0.674, abs=0.02)
 
 
 def test_crit_threshold_self_consistency(tiny_table):
     cov = rho_null_cov((20, 60, 180), 4000, 0.7, 0.9, tiny_table)
-    tail = NullTail(cov, 3, 300_000, seed=5)
-    p, _ = tail.p_values(tail.threshold(0.05))
+    pool = GaussianTailPool(cov.matrix, 3, 300_000, seed=5)
+    p, _ = pool.p_values(pool.threshold(0.05))
     assert 0.04 <= p < 0.05
 
 
 def test_crit_threshold_monotone_in_level():
-    tail = NullTail(_identity_cov(2), 2, 200_000, seed=9)
-    thetas = [tail.threshold(p) for p in (0.2, 0.1, 0.05, 0.01)]
+    pool = GaussianTailPool(np.eye(2), 2, 200_000, seed=9)
+    thetas = [pool.threshold(p) for p in (0.2, 0.1, 0.05, 0.01)]
     assert all(a <= b for a, b in zip(thetas, thetas[1:]))
 
 
+def test_crit_threshold_below_zero():
+    # kappa = r = 10 of independent coordinates: T > 0 only when all ten
+    # share a sign (probability 2^-9), so the 5 % crossing is negative.
+    pool = GaussianTailPool(np.eye(10), 10, 200_000, seed=3)
+    theta = pool.threshold(0.05)
+    assert theta < 0.0
+    assert pool.prob_above(theta)[0] < 0.05
+    assert pool.prob_above(theta - 0.01)[0] >= 0.05
+
+
+@pytest.fixture(scope="module")
+def decision_pools():
+    a = np.random.default_rng(5).standard_normal((5, 5))
+    matrix = a @ a.T + 5.0 * np.eye(5)
+    return [GaussianTailPool(matrix, kappa, 100_000, seed=kappa)
+            for kappa in (5, 4, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 2), level=st.floats(0.001, 0.5),
+       offset=st.floats(-0.5, 0.5))
+def test_threshold_and_decision_agree(decision_pools, which, level, offset):
+    # theta* is the smallest 0.01 grid point whose tail is below the
+    # level.  For kappa = r and kappa < r: T > theta* rejects, and a
+    # rejected T lies above theta* less one grid step.
+    pool = decision_pools[which]
+    theta = pool.threshold(level)
+    assert theta == round(theta / 0.01) * 0.01
+    assert pool.prob_above(theta)[0] < level
+    assert pool.prob_above(theta - 0.01)[0] >= level
+    stat = theta + offset
+    reject = pool.p_values(stat)[0] <= level
+    if stat > theta:
+        assert reject
+    if reject:
+        assert stat > theta - 0.01
+
+
 def test_pvalue_kappa_r_definitional():
-    tail = NullTail(_identity_cov(2), 2, 200_000, seed=21)
-    assert tail.bound_pool is tail.pool
+    pool = GaussianTailPool(np.eye(2), 2, 200_000, seed=21)
     t_obs = 1.3
-    assert tail.p_values(t_obs) == tail.pool.prob_above(t_obs)
+    assert pool.p_values(t_obs) == pool.prob_above(t_obs)
 
 
-def test_pvalue_binomial_multiplier():
-    c3 = _identity_cov(3)
-    t_obs = 1.0
-    joint = (1 - norm.cdf(t_obs)) ** 2
-    p, _ = NullTail(c3, 2, 400_000, seed=2).p_values(t_obs)
-    assert p == pytest.approx(min(1.0, 6.0 * joint), rel=0.05)
+@pytest.mark.parametrize("t_obs", [0.5, 1.0, 1.5])
+def test_pvalue_kappa_below_r_closed_form(t_obs):
+    # Identity C, r = 3, kappa = 2: T > t > 0 when two of the three
+    # coordinates exceed t or two lie below -t, two disjoint events of
+    # probability 3q^2 - 2q^3 each, with q = 1 - Phi(t).
+    q = 1.0 - norm.cdf(t_obs)
+    exact = 2.0 * (3.0 * q ** 2 - 2.0 * q ** 3)
+    p, se = GaussianTailPool(np.eye(3), 2, 400_000, seed=2).p_values(t_obs)
+    assert abs(p - exact) <= 4.0 * se
 
 
 def test_pvalue_monotone_in_statistic():
-    tail = NullTail(_identity_cov(3), 3, 200_000, seed=6)
-    ps, _ = tail.p_values(np.array([0.0, 0.5, 1.0, 2.0, 3.0]))
+    pool = GaussianTailPool(np.eye(3), 3, 200_000, seed=6)
+    ps, _ = pool.p_values(np.array([0.0, 0.5, 1.0, 2.0, 3.0]))
     assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
-def test_pvalue_conservative_vs_subevent():
-    # The kappa < r bound is at least the raw sub-event probability.
-    c3 = _identity_cov(3)
-    t_obs = 1.5
-    pool = GaussianTailPool(c3.matrix, 2, 200_000, seed=12,
-                            mode="leading-min")
-    joint, _ = pool.prob_above(t_obs)
-    assert NullTail(c3, 2, 200_000, seed=12).p_values(t_obs)[0] >= joint
-
-
 def test_pvalues_array_matches_scalars():
-    # The vectorised p-values equal the scalar ones, for both branches,
-    # including the cap at 1 and the 1/samples floor.
+    # The vectorised p-values equal the scalar ones, for kappa = r and
+    # kappa < r, from 1 down to the 1/samples floor.
     stats = np.array([-1.0, 0.0, 0.4, 1.0, 2.5, 30.0])
     for kappa in (3, 2):
-        tail = NullTail(_identity_cov(3), kappa, 100_000, seed=8)
-        ps, ses = tail.p_values(stats)
-        scalar = [tail.p_values(float(t)) for t in stats]
+        pool = GaussianTailPool(np.eye(3), kappa, 100_000, seed=8)
+        ps, ses = pool.p_values(stats)
+        scalar = [pool.p_values(float(t)) for t in stats]
         assert ps.tolist() == [p for p, _ in scalar]
         assert ses.tolist() == [se for _, se in scalar]
         assert ps.max() <= 1.0 and ps.min() == 1e-5
-    assert ps[0] == 1.0  # kappa < r: 6 x 0.25 capped at 1
+    assert ps[0] == 1.0  # kappa = 2 of 3: T = |median| > -1 in every draw
 
 
 def test_pool_floor_and_validation():
-    c1 = _identity_cov(1)
+    c1 = np.eye(1)
     with pytest.raises(ValueError):
-        GaussianTailPool(c1.matrix, 1, 10_000, seed=0)  # below MC minimum
+        GaussianTailPool(c1, 1, 10_000, seed=0)  # below MC minimum
     with pytest.raises(ValueError):
-        GaussianTailPool(c1.matrix, 2, 200_000, seed=0)  # kappa > r
-    assert NullTail(c1, 1, 100_000, seed=0).p_values(30.0)[0] == 1e-5
+        GaussianTailPool(c1, 2, 200_000, seed=0)  # kappa > r
+    pool = GaussianTailPool(c1, 1, 100_000, seed=0)
+    assert pool.p_values(30.0)[0] == 1e-5
+    with pytest.raises(ValueError):
+        pool.threshold(1e-6)  # below the 1/samples resolution
 
 
 def _test_config(scale_set, **kw):
@@ -276,6 +304,12 @@ def test_stat_dcca_kappa_below_r(tiny_table):
     ss = make_scales(6000, 20, 300, 6, 1)
     outcome = stat_dcca(pair, _test_config(ss, kappa=ss.r - 1), tiny_table)
     assert 0.0 < outcome.p_value <= 1.0
+    # p is the kth-order pool's own floored tail, read from the pool
+    # that gives the threshold.
+    pool = GaussianTailPool(outcome.null_cov.matrix, ss.r - 1, 150_000,
+                            seed=0)
+    assert outcome.threshold == pool.threshold(0.05)
+    assert outcome.p_value == pool.p_values(outcome.statistic)[0]
 
 
 def test_stat_dcca_power_at_strong_correlation(full_table):
@@ -288,9 +322,9 @@ def test_stat_dcca_power_at_strong_correlation(full_table):
     ss = make_scales(n_samples, 20, 1000, 10, 1)
     params = FbmParams(hurst1=0.7, hurst2=0.8, rho=0.4)
     cov = rho_null_cov(ss.scales, n_samples, 0.7, 0.8, full_table)
-    tail = NullTail(cov, ss.r, 200_000, seed=44)
+    pool = GaussianTailPool(cov.matrix, ss.r, 200_000, seed=44)
     vectors = _rho_vectors("bfgn", params, n_samples, ss, 50, seed=909)
-    p_vals, _ = tail.p_values(joint_statistic(vectors, cov, ss.r))
+    p_vals, _ = pool.p_values(joint_statistic(vectors, cov, ss.r))
     assert np.sum(p_vals <= 0.05) >= 45
 
 
