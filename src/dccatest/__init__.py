@@ -14,7 +14,7 @@ from .series import (InfeasibleScalesError, ScaleSet, SeriesPair,
 from .fluctuation import (FluctuationSet, HurstEstimate,
                           fluctuation_analysis, hurst_estimate, rho_dcca,
                           sign_log)
-from .fbm import FbmParams, fbm_auto_cov, fgn_autocov, fgn_cross_cov
+from .fbm import FbmParams, fgn_autocov, fgn_cross_cov
 from .asymptotics import (CovTable, NullCovariance, fluct_mean_exact,
                           load_covtab, rho_null_cov, save_covtab, tabulate,
                           worst_case_cov)
@@ -29,7 +29,7 @@ __all__ = [
     "load_pair", "make_scales", "write_pair",
     "FluctuationSet", "HurstEstimate", "fluctuation_analysis",
     "hurst_estimate", "rho_dcca", "sign_log",
-    "FbmParams", "fbm_auto_cov", "fgn_autocov", "fgn_cross_cov",
+    "FbmParams", "fgn_autocov", "fgn_cross_cov",
     "CovTable", "NullCovariance", "fluct_mean_exact", "load_covtab",
     "rho_null_cov", "save_covtab", "tabulate", "worst_case_cov",
     "GaussianTailPool", "TestConfig", "TestOutcome", "stat_dcca",

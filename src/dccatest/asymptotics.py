@@ -54,37 +54,28 @@ _PSD_RTOL = 1e-8
 # Exact trace moments
 # ---------------------------------------------------------------------------
 
-def _toeplitz_matvec(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(Tv)_a = sum_b c[|a-b|] v[b] for a symmetric Toeplitz matrix."""
-    n = len(v)
-    kernel = np.concatenate([c[:n][::-1], c[1:n]])
-    return np.convolve(v, kernel, mode="valid")
-
-
 @lru_cache(maxsize=4096)
 def fluct_mean_exact(n: int, hurst: float, degree: int) -> float:
     """Exact mean of the detrended variance F2_auto(n) for fBm.
 
-    Computed as trace((I - P) Sigma) / n without materialising Sigma:
-    Sigma v splits into rank-one parts plus a Toeplitz convolution with
-    the |a-b|^{2H} kernel.
+    Computed as trace((I - P) Sigma) / n without materialising Sigma.
+    The residual projector annihilates constants, so of
+    Sigma_ab = (a^{2H} + b^{2H} - |a-b|^{2H}) / 2 only the lag term
+    survives: trace((I - P) Sigma) = sum_{l=1}^{n-1} l^{2H} c_l, where
+    c_l = sum_a P_{a,a+l} is the summed lag-l autocorrelation of the
+    fit basis columns, taken with one real FFT.
     """
     if n < degree + 2:
         raise ValueError(f"scale {n} too small for degree {degree}")
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst exponent must lie in (0, 1)")
-    h2 = 2.0 * hurst
-    lag_pow = np.arange(0, n, dtype=float) ** h2
-    t_pow = np.arange(1, n + 1, dtype=float) ** h2
-    trace_full = float(np.sum(t_pow))
-    basis = poly_basis(n, degree)
-    trace_fit = 0.0
-    for k in range(basis.shape[1]):
-        v = basis[:, k]
-        sigma_v = 0.5 * (t_pow * v.sum() + float(t_pow @ v)
-                         - _toeplitz_matvec(lag_pow, v))
-        trace_fit += float(v @ sigma_v)
-    return (trace_full - trace_fit) / n
+    # Padding to at least 2n - 1 keeps the circular lags 1..n-1 exact.
+    size = 1 << (2 * n - 2).bit_length()
+    spec = np.fft.rfft(poly_basis(n, degree), size, axis=0)
+    power = (spec.real ** 2 + spec.imag ** 2).sum(axis=1)
+    lag_sums = np.fft.irfft(power, size)[1:n]
+    lags = np.arange(1, n, dtype=float)
+    return float(lag_sums @ lags ** (2.0 * hurst)) / n
 
 
 def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
@@ -345,11 +336,6 @@ class CovTable:
             )
         idx = int(np.searchsorted(sub, ratio - 1e-12, side="left"))
         return min(idx, len(sub) - 1)
-
-    def correlation_at(self, ratio: float, h: float, g: float) -> float:
-        self._check_hurst(h, "H")
-        self._check_hurst(g, "G")
-        return self._bilinear(self.correlation[self.ratio_index(ratio)], h, g)
 
     def node_indices(self, low: float, high: float) -> np.ndarray:
         """Grid node indices covering [low, high], widened outward."""
@@ -618,8 +604,7 @@ def _validate_null_cov(mat: np.ndarray, what: str) -> None:
     off = corr[~np.eye(len(mat), dtype=bool)]
     if off.size and (off.min() < -1e-9 or off.max() > 1.0 + 1e-9):
         raise RuntimeError(
-            f"{what}: correlations outside [0, 1] "
-            f"(min {off.min() if off.size else 1.0:.3e})"
+            f"{what}: correlations outside [0, 1] (min {off.min():.3e})"
         )
     eigmin = float(np.linalg.eigvalsh(mat)[0])
     if eigmin < -_PSD_RTOL * float(np.trace(mat)):
@@ -639,6 +624,31 @@ def _scaled_rho_variance(n: int, hurst1: float, hurst2: float,
         / (mean1 * mean2)
 
 
+def _assemble_null_cov(scales, n_samples: int, table: CovTable,
+                       degree: int | None, variance, correlation,
+                       what: str, provenance: tuple) -> NullCovariance:
+    """Null covariance with diagonal ``variance(n)`` per scale and each
+    off-diagonal ``correlation(q)`` at the pair's tabulated ratio index q
+    times the geometric mean of the two variances."""
+    scales = tuple(int(n) for n in scales)
+    if degree is None:
+        degree = table.degree
+    if degree != table.degree:
+        raise ValueError(
+            f"table was tabulated for degree {table.degree}, not {degree}"
+        )
+    diag = np.array([variance(n) for n in scales])
+    mat = np.diag(diag)
+    for i in range(len(scales)):
+        for j in range(i + 1, len(scales)):
+            ratio = min(scales[i], scales[j]) / max(scales[i], scales[j])
+            corr = correlation(table.ratio_index(ratio))
+            mat[i, j] = mat[j, i] = corr * math.sqrt(diag[i] * diag[j])
+    _validate_null_cov(mat, what)
+    return NullCovariance(matrix=mat, scales=scales, n_samples=n_samples,
+                          degree=degree, provenance=provenance)
+
+
 def rho_null_cov(scales, n_samples: int, hurst1: float, hurst2: float,
                  table: CovTable, degree: int | None = None) -> NullCovariance:
     """Exact-(H, G) null covariance of the scaled rho vector.
@@ -647,31 +657,13 @@ def rho_null_cov(scales, n_samples: int, hurst1: float, hurst2: float,
     by n^{2(H+G)} and divided by the exact auto-statistic means at each
     instance scale; off-diagonals use tabulated ratio correlations.
     """
-    scales = tuple(int(n) for n in scales)
-    if degree is None:
-        degree = table.degree
-    if degree != table.degree:
-        raise ValueError(
-            f"table was tabulated for degree {table.degree}, not {degree}"
-        )
-    table._check_hurst(hurst1, "H")
-    table._check_hurst(hurst2, "G")
     vlim = table.variance_at(hurst1, hurst2)
-    r = len(scales)
-    diag = np.array([
-        _scaled_rho_variance(n, hurst1, hurst2, degree, vlim)
-        for n in scales
-    ])
-    mat = np.diag(diag)
-    for i in range(r):
-        for j in range(i + 1, r):
-            ratio = min(scales[i], scales[j]) / max(scales[i], scales[j])
-            corr = table.correlation_at(ratio, hurst1, hurst2)
-            mat[i, j] = mat[j, i] = corr * math.sqrt(diag[i] * diag[j])
-    _validate_null_cov(mat, "rho_null_cov")
-    return NullCovariance(matrix=mat, scales=scales, n_samples=n_samples,
-                          degree=degree,
-                          provenance=("exact", hurst1, hurst2))
+    return _assemble_null_cov(
+        scales, n_samples, table, degree,
+        lambda n: _scaled_rho_variance(n, hurst1, hurst2, table.degree,
+                                       vlim),
+        lambda q: table._bilinear(table.correlation[q], hurst1, hurst2),
+        "rho_null_cov", ("exact", hurst1, hurst2))
 
 
 def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
@@ -683,13 +675,6 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
     node-wise maxima, so the result dominates every exact covariance in
     range entrywise on variances and correlations.
     """
-    scales = tuple(int(n) for n in scales)
-    if degree is None:
-        degree = table.degree
-    if degree != table.degree:
-        raise ValueError(
-            f"table was tabulated for degree {table.degree}, not {degree}"
-        )
     h_low, h_high = (float(v) for v in hurst1_range)
     g_low, g_high = (float(v) for v in hurst2_range)
     if not (0.5 <= h_low <= h_high < 1.0 and 0.5 <= g_low <= g_high < 1.0):
@@ -699,29 +684,21 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
     if h_nodes.size == 0 or g_nodes.size == 0:
         raise ValueError("Hurst range does not intersect the table grid")
 
-    r = len(scales)
-    diag = np.zeros(r)
-    for ih in h_nodes:
-        for ig in g_nodes:
-            h, g = float(table.grid[ih]), float(table.grid[ig])
-            vlim = float(table.variance[ih, ig])
-            if np.isnan(vlim):
-                raise ValueError("tabulation incomplete inside Hurst range")
-            for k, n in enumerate(scales):
-                diag[k] = max(diag[k], _scaled_rho_variance(
-                    n, h, g, degree, vlim))
+    def in_range(block: np.ndarray) -> np.ndarray:
+        sub = block[np.ix_(h_nodes, g_nodes)]
+        if np.isnan(sub).any():
+            raise ValueError("tabulation incomplete inside Hurst range")
+        return sub
 
-    mat = np.diag(diag)
-    for i in range(r):
-        for j in range(i + 1, r):
-            ratio = min(scales[i], scales[j]) / max(scales[i], scales[j])
-            iq = table.ratio_index(ratio)
-            sub = table.correlation[iq][np.ix_(h_nodes, g_nodes)]
-            if np.isnan(sub).any():
-                raise ValueError("tabulation incomplete inside Hurst range")
-            corr = float(sub.max())
-            mat[i, j] = mat[j, i] = corr * math.sqrt(diag[i] * diag[j])
-    _validate_null_cov(mat, "worst_case_cov")
-    return NullCovariance(
-        matrix=mat, scales=scales, n_samples=n_samples, degree=degree,
-        provenance=("worst-case", h_low, h_high, g_low, g_high))
+    in_range(table.variance)
+
+    def variance(n: int) -> float:
+        return max(_scaled_rho_variance(n, float(table.grid[ih]),
+                                        float(table.grid[ig]), table.degree,
+                                        float(table.variance[ih, ig]))
+                   for ih in h_nodes for ig in g_nodes)
+
+    return _assemble_null_cov(
+        scales, n_samples, table, degree, variance,
+        lambda q: float(in_range(table.correlation[q]).max()),
+        "worst_case_cov", ("worst-case", h_low, h_high, g_low, g_high))

@@ -1,11 +1,9 @@
-"""Covariance kernels of (bivariate) fractional Brownian motion.
+"""Covariance kernels of (bivariate) fractional Gaussian noise, the
+increments of (bivariate) fractional Brownian motion.
 
 The cross kernel has two branches depending on whether the sum of the
 two Hurst exponents equals 1; the branch switch happens inside a 1e-9
-band around 1, where the logarithmic form applies.  Auto kernels use
-the standard fBm covariance, which is a valid positive-semidefinite
-kernel on the whole real line, so it may be evaluated at negative
-times (two-sided fBm with stationary increments).
+band around 1, where the logarithmic form applies.
 """
 
 from __future__ import annotations
@@ -57,16 +55,6 @@ def _xlogx(u: np.ndarray) -> np.ndarray:
     nz = u != 0
     out[nz] = u[nz] * np.log(np.abs(u[nz]))
     return out
-
-
-def fbm_auto_cov(s, t, hurst: float, sigma: float = 1.0) -> np.ndarray:
-    """E(X(s)X(t)) for fBm with the given Hurst exponent (any real s, t)."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    h2 = 2.0 * hurst
-    return 0.5 * sigma * sigma * (
-        np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2
-    )
 
 
 def fgn_autocov(k, hurst: float, sigma: float = 1.0) -> float | np.ndarray:

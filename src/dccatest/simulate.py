@@ -112,26 +112,30 @@ def _gen_bfgn_dense(n: int, params: FbmParams,
     return z[:n], z[n:]
 
 
+def _embedding_length(n: int) -> int:
+    """Power-of-two circulant length, at least 2n and 16."""
+    return 1 << max(4, int(math.ceil(math.log2(2 * n))))
+
+
+def _embed(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Circulant first row: lags 0..h from ``pos``, then lags
+    -(h-1)..-1 from ``neg``, both of length h + 1."""
+    return np.concatenate([pos, neg[-2:0:-1]])
+
+
 @lru_cache(maxsize=4)
 def _circulant_root(n: int, params: FbmParams):
     """Embedding length and the per-frequency 2x2 square root (b11, b22,
     b12) of the circulant embedding's spectral blocks, after checking
     that every block is positive semidefinite.  Cached per (n, params)
     and read-only, since every replicate of a study shares them."""
-    length = 1 << max(4, int(math.ceil(math.log2(2 * n))))
-    half = length // 2
-    g11, g22, g12_pos, g12_neg = _increment_cov_sequences(half + 1, params)
-
-    def embed(pos, neg):
-        c = np.empty(length)
-        c[: half + 1] = pos[: half + 1]
-        c[half + 1:] = neg[1:half][::-1]
-        return c
-
-    lam11 = np.fft.fft(embed(g11, g11)).real
-    lam22 = np.fft.fft(embed(g22, g22)).real
+    length = _embedding_length(n)
+    g11, g22, g12_pos, g12_neg = _increment_cov_sequences(length // 2 + 1,
+                                                          params)
+    lam11 = np.fft.fft(_embed(g11, g11)).real
+    lam22 = np.fft.fft(_embed(g22, g22)).real
     # Cross block oriented so that E[eps1(t) eps2(t+k)] = gamma12(k).
-    lam12 = np.fft.fft(embed(g12_neg, g12_pos))
+    lam12 = np.fft.fft(_embed(g12_neg, g12_pos))
     scale = max(lam11.max(), lam22.max())
     if lam11.min() < -_EMBED_TOL * scale or lam22.min() < -_EMBED_TOL * scale:
         raise ValueError("circulant embedding has negative auto spectrum")
@@ -209,13 +213,9 @@ def _signed_power_std(phi: float) -> float:
 def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:
     """Nonnegative circulant spectrum of fGn on a length >= 2n grid;
     cached and read-only like ``_circulant_root``."""
-    length = 1 << max(4, int(math.ceil(math.log2(2 * n))))
-    half = length // 2
-    g = np.asarray(fgn_autocov(np.arange(half + 1), hurst))
-    c = np.empty(length)
-    c[: half + 1] = g
-    c[half + 1:] = g[1:half][::-1]
-    lam = np.fft.fft(c).real
+    length = _embedding_length(n)
+    g = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst))
+    lam = np.fft.fft(_embed(g, g)).real
     gain = np.sqrt(np.clip(lam, 0.0, None))
     gain.setflags(write=False)
     return length, gain

@@ -114,19 +114,22 @@ class GaussianTailPool:
         return p, np.sqrt(p * (1.0 - p) / self.samples)
 
     def threshold(self, level: float) -> float:
-        """Smallest theta on the 0.01 grid with Pr-hat(> theta) < level.
+        """Smallest theta on the 0.01 grid with Pr-hat(> theta) <= level,
+        the inequality of the decision p <= level.
 
-        At most c = ceil(level M) - 1 of the M draws may lie above theta,
-        so theta must reach the (c+1)-th largest draw; that draw is
-        rounded up to the grid.  The grid point is compared as the
-        product k * 0.01, the value returned.
+        At most c of the M draws may lie above theta, c the largest
+        count with c / M <= level in the decision's float comparison, so
+        theta must reach the (c+1)-th largest draw; that draw is rounded
+        up to the grid.  The grid point is compared as the product
+        k * 0.01, the value returned.
         """
         if not 1.0 / self.samples <= level < 1.0:
             raise ValueError(
                 f"level must lie in [1/{self.samples}, 1): the Monte Carlo "
                 "resolution of the p-value is 1/samples"
             )
-        c = math.ceil(level * self.samples) - 1
+        c = math.floor(level * self.samples)
+        c = max(k for k in (c - 1, c, c + 1) if k / self.samples <= level)
         crossing = self.values[self.samples - 1 - c]
         k = math.ceil(crossing / _THETA_STEP)
         while k * _THETA_STEP < crossing:
@@ -302,6 +305,23 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         )
 
     cov = build_null_cov(config, pair.n_samples, table, est1, est2)
+    if config.hurst_mode[0] == "auto":
+        used = cov.provenance[1:]
+        for name, est, lo, hi in zip("HG", (est1, est2), used[::2],
+                                     used[1::2]):
+            want = (est.h_hat - AUTO_HURST_MARGIN,
+                    est.h_hat + AUTO_HURST_MARGIN)
+            # A lower cut at 0.5, the model's own floor, is not reported.
+            if hi != want[1] or lo not in (want[0], 0.5):
+                notes.append(f"{name} range [{want[0]:.3f}, {want[1]:.3f}] "
+                             f"cut to the table grid: [{lo:.3f}, {hi:.3f}]")
+    floor = float(table.ratios[0])
+    below = [a / b for i, a in enumerate(cov.scales)
+             for b in cov.scales[i + 1:] if a / b < floor - 1e-12]
+    if below:
+        notes.append(f"{len(below)} scale pairs lie below the table's "
+                     f"smallest ratio {floor:.4g} (down to {min(below):.4g}) "
+                     "and reuse its correlation")
     kappa = config.effective_kappa
     counts = config.scale_set.window_counts(pair.n_samples)
     rho_sc = scaled_rho(fluct.rho, counts)

@@ -55,6 +55,16 @@ def fluct_cov_exact(n: int, m: int, j: int, hurst1: float, hurst2: float,
     raise ValueError(f"unknown covariance kind {kind!r}")
 
 
+def fbm_auto_cov(s, t, hurst: float, sigma: float = 1.0) -> np.ndarray:
+    """E(X(s)X(t)) for fBm with the given Hurst exponent (any real s, t)."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    h2 = 2.0 * hurst
+    return 0.5 * sigma * sigma * (
+        np.abs(s) ** h2 + np.abs(t) ** h2 - np.abs(t - s) ** h2
+    )
+
+
 def fbm_cross_cov(s, t, params: FbmParams) -> float | np.ndarray:
     """E(X1(s)X2(t)) of bivariate fBm at non-negative times.
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dccatest.asymptotics import fluct_mean_exact, rho_null_cov
-from dccatest.fbm import FbmParams, fbm_auto_cov
+from dccatest.fbm import FbmParams
 from dccatest.fluctuation import fluctuation_analysis, poly_basis, rho_dcca
 from dccatest.series import SeriesPair, make_scales
 from dccatest.studies import (_rho_vectors, power_study,
@@ -19,7 +19,7 @@ from dccatest.studies import (_rho_vectors, power_study,
                               upperbound_check)
 from dccatest.testkit import GaussianTailPool
 from dccatest.testkit import test_statistic as joint_statistic
-from oracles import dcca_coeff, fluct_cov_exact
+from oracles import dcca_coeff, fbm_auto_cov, fluct_cov_exact
 
 LEVEL = 0.05
 CAL_N = 10_000

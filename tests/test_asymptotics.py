@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dccatest.asymptotics import (f2_variance_limit, fluct_mean_exact,
-                                  load_covtab, rho_null_cov, save_covtab,
-                                  tabulate, worst_case_cov)
-from dccatest.fbm import fbm_auto_cov
+from dccatest.asymptotics import (CovTable, f2_variance_limit,
+                                  fluct_mean_exact, load_covtab, rho_null_cov,
+                                  save_covtab, tabulate, worst_case_cov)
 from dccatest.fluctuation import poly_basis
-from oracles import fluct_cov_exact
+from oracles import fbm_auto_cov, fluct_cov_exact
 
 
 def test_mean_hand_computation():
@@ -21,6 +23,17 @@ def test_mean_matches_dense_trace(rng):
         basis = poly_basis(n, d)
         dense = (np.trace(sigma) - np.trace(basis.T @ sigma @ basis)) / n
         assert fluct_mean_exact(n, h, d) == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 10, 257, 4096, 50_000])
+def test_mean_brownian_closed_forms(n):
+    # H = 1/2 (Sigma_ab = min(a, b)): removing the mean leaves
+    # (n^2 - 1) / (6n), removing a line (n^2 - 4) / (15n); n = 50,000 is
+    # far beyond the reach of the dense oracle.
+    assert fluct_mean_exact(n, 0.5, 0) == pytest.approx(
+        (n * n - 1) / (6 * n), rel=1e-12)
+    assert fluct_mean_exact(n, 0.5, 1) == pytest.approx(
+        (n * n - 4) / (15 * n), rel=1e-12)
 
 
 def test_mean_self_similarity_scaling():
@@ -189,6 +202,44 @@ def test_covtab_round_trip(tiny_table, tmp_path):
         assert np.allclose(a, b, rtol=1e-12, atol=0)
     assert loaded.degree == tiny_table.degree
     assert loaded.n_tab == tiny_table.n_tab
+
+
+@st.composite
+def _covtabs(draw):
+    """Tables of any shape, finite grids and entries that may be NaN."""
+    nh, nq = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = st.floats(allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return CovTable(
+        degree=draw(st.integers(0, 5)), n_tab=draw(st.integers(128, 4096)),
+        grid=draw(arrays(float, nh, elements=finite)),
+        ratios=draw(arrays(float, nq, elements=finite)),
+        variance=draw(arrays(float, (nh, nh), elements=entries)),
+        correlation=draw(arrays(float, (nq, nh, nh), elements=entries)),
+        auto_mean=draw(arrays(float, nh, elements=entries)),
+        offsets_used=draw(arrays(int, (nh, nh),
+                                 elements=st.integers(0, 10**6))),
+        tail_tol=draw(st.floats(1e-12, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=_covtabs())
+def test_covtab_round_trip_property(table, tmp_path_factory):
+    # Every entry comes back bit for bit; a table with NaN entries loads
+    # only under allow_partial.
+    path = str(tmp_path_factory.mktemp("covtab") / "t.covtab")
+    save_covtab(table, path)
+    if not table.is_complete():
+        with pytest.raises(ValueError, match="NaN"):
+            load_covtab(path)
+    loaded = load_covtab(path, allow_partial=True)
+    for field in ("grid", "ratios", "variance", "correlation", "auto_mean",
+                  "offsets_used"):
+        a, b = getattr(table, field), getattr(loaded, field)
+        assert a.shape == b.shape and a.dtype == b.dtype, field
+        assert np.array_equal(a, b, equal_nan=True), field
+    assert (loaded.degree, loaded.n_tab, loaded.tail_tol) == \
+        (table.degree, table.n_tab, table.tail_tol)
 
 
 def test_covtab_rejects_bad_version(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dccatest.fbm import FbmParams, fbm_auto_cov, fgn_autocov, fgn_cross_cov
-from oracles import fbm_cross_cov
+from dccatest.fbm import FbmParams, fgn_autocov, fgn_cross_cov
+from oracles import fbm_auto_cov, fbm_cross_cov
 
 
 def _params(h, g, rho=1.0, eta=0.0):

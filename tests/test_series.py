@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dccatest.series import (InfeasibleScalesError, SeriesPair,
                              _parse_columns, _parse_lines,
@@ -88,6 +90,24 @@ def test_make_scales_errors():
         make_scales(1000, 10, 10, 3, 1)        # n_max must exceed n_min
     with pytest.raises(InfeasibleScalesError):
         make_scales(100, 10, 40, 1, 1)         # r < 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_samples=st.integers(1, 10**6), n_min=st.integers(0, 2000),
+       n_max=st.integers(0, 10**5), r=st.integers(0, 40),
+       degree=st.integers(0, 4))
+def test_make_scales_properties(n_samples, n_min, n_max, r, degree):
+    feasible = (r >= 2 and n_min >= degree + 2 and n_min < n_max
+                <= n_samples // 2)
+    if not feasible:
+        with pytest.raises(InfeasibleScalesError):
+            make_scales(n_samples, n_min, n_max, r, degree)
+        return
+    scales = make_scales(n_samples, n_min, n_max, r, degree).scales
+    assert all(type(n) is int for n in scales)
+    assert scales[0] == n_min and scales[-1] == n_max
+    assert all(a < b for a, b in zip(scales, scales[1:]))
+    assert len(scales) <= r
 
 
 def test_window_counts_and_discards():

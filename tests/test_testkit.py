@@ -131,8 +131,23 @@ def test_crit_threshold_below_zero():
     pool = GaussianTailPool(np.eye(10), 10, 200_000, seed=3)
     theta = pool.threshold(0.05)
     assert theta < 0.0
-    assert pool.prob_above(theta)[0] < 0.05
-    assert pool.prob_above(theta - 0.01)[0] >= 0.05
+    assert pool.prob_above(theta)[0] <= 0.05
+    assert pool.prob_above(theta - 0.01)[0] > 0.05
+
+
+def test_threshold_uses_the_decisions_inequality():
+    # level * M = 5,000 draws lie above a gap across the 1.01 grid line.
+    # A statistic in the gap has p = level and is rejected, so theta*
+    # is 1.01: the strict tail < level gave 1.02, more than one grid
+    # step above the rejected statistic.
+    pool = GaussianTailPool(np.eye(1), 1, 100_000, seed=0)
+    pool.values = np.concatenate([np.linspace(-3.0, 1.005, 95_000),
+                                  np.linspace(1.015, 4.0, 5_000)])
+    theta = pool.threshold(0.05)
+    assert theta == 101 * 0.01
+    stat = 1.006
+    assert pool.p_values(stat)[0] <= 0.05
+    assert stat > theta - 0.01
 
 
 @pytest.fixture(scope="module")
@@ -147,14 +162,15 @@ def decision_pools():
 @given(which=st.integers(0, 2), level=st.floats(0.001, 0.5),
        offset=st.floats(-0.5, 0.5))
 def test_threshold_and_decision_agree(decision_pools, which, level, offset):
-    # theta* is the smallest 0.01 grid point whose tail is below the
-    # level.  For kappa = r and kappa < r: T > theta* rejects, and a
-    # rejected T lies above theta* less one grid step.
+    # theta* is the smallest 0.01 grid point whose tail is at most the
+    # level, the inequality of the decision.  For kappa = r and
+    # kappa < r: T > theta* rejects, and a rejected T lies above theta*
+    # less one grid step.
     pool = decision_pools[which]
     theta = pool.threshold(level)
     assert theta == round(theta / 0.01) * 0.01
-    assert pool.prob_above(theta)[0] < level
-    assert pool.prob_above(theta - 0.01)[0] >= level
+    assert pool.prob_above(theta)[0] <= level
+    assert pool.prob_above(theta - 0.01)[0] > level
     stat = theta + offset
     reject = pool.p_values(stat)[0] <= level
     if stat > theta:
@@ -272,6 +288,50 @@ def test_stat_dcca_white_noise_warning(tiny_table):
                                                            0.5)),
                         tiny_table)
     assert any("0.55" in note for note in outcome.warnings)
+
+
+def test_stat_dcca_reports_ratio_floor(tiny_table):
+    # Scales 10, 23, 52, 117, 265, 600: three pairs (10/265, 10/600,
+    # 23/600) lie below the table's smallest ratio 6/128 and reuse it.
+    params = FbmParams(hurst1=0.7, hurst2=0.8)
+    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+                            seed=5))
+    ss = make_scales(6000, 10, 600, 6, 1)
+    outcome = stat_dcca(pair, _test_config(ss), tiny_table)
+    notes = [note for note in outcome.warnings if "ratio" in note]
+    assert len(notes) == 1
+    assert notes[0].startswith("3 scale pairs lie below")
+    assert "0.04688" in notes[0] and "0.01667" in notes[0]
+
+
+def test_stat_dcca_reports_hurst_range_cut(tiny_table):
+    # G near 0.9 has its +0.1 range cut at the grid's top node 0.9; the
+    # cut of H near 0.5 at 0.5, the model's floor, is not reported.
+    params = FbmParams(hurst1=0.5, hurst2=0.9)
+    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+                            seed=8))
+    ss = make_scales(6000, 20, 300, 6, 1)
+    outcome = stat_dcca(pair, _test_config(ss, hurst_mode=("auto",)),
+                        tiny_table)
+    assert outcome.hurst1.h_hat - 0.1 < 0.5
+    notes = [note for note in outcome.warnings if "range" in note]
+    assert len(notes) == 1
+    assert notes[0].startswith("G range") and "0.900]" in notes[0]
+
+
+def test_stat_dcca_default_case_reports_no_approximation(full_table):
+    # Default scales at N = 2e4 stay above the shipped table's smallest
+    # ratio, and the auto ranges around H, G near 0.7, 0.8 inside its grid.
+    n_samples = 20_000
+    params = FbmParams(hurst1=0.7, hurst2=0.8)
+    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=n_samples, params=params,
+                            seed=1))
+    ss = make_scales(n_samples, 20, n_samples // 20, 10, 1)
+    for mode in (("known", 0.7, 0.8), ("auto",)):
+        outcome = stat_dcca(pair, _test_config(ss, hurst_mode=mode,
+                                               mc_samples=100_000),
+                            full_table)
+        assert outcome.warnings == ()
 
 
 def test_stat_dcca_hurst_modes(tiny_table):
