@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -639,6 +639,8 @@ def _assemble_null_cov(scales, n_samples: int, table: CovTable,
         )
     diag = np.array([variance(n) for n in scales])
     mat = np.diag(diag)
+    # Many pairs share a ratio index: look each one up once.
+    correlation = cache(correlation)
     for i in range(len(scales)):
         for j in range(i + 1, len(scales)):
             ratio = min(scales[i], scales[j]) / max(scales[i], scales[j])

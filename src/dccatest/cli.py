@@ -113,6 +113,25 @@ def _mapper(jobs: int, chunksize: int = 1):
         yield partial(pool.map, chunksize=chunksize)
 
 
+def _progress_printer(reports: int | None = None):
+    """Progress callback(done, total, note="") writing "[done/total]
+    note rate/s, ETA" to stderr, at every multiple of total // reports
+    if given.  The rate counts this run's calls, not resumed entries."""
+    start = time.monotonic()
+    calls = 0
+
+    def progress(done, total, note=""):
+        nonlocal calls
+        calls += 1
+        if reports and done % max(1, total // reports):
+            return
+        rate = calls / max(time.monotonic() - start, 1e-9)
+        print(f"  [{done}/{total}]{note} {rate:.3g}/s, ETA "
+              f"{(total - done) / rate:.0f} s", file=sys.stderr, flush=True)
+
+    return progress
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -294,8 +313,10 @@ def cmd_tabulate(args) -> int:
             resume_from = None
             print("no usable partial table found; starting fresh")
 
+    report = _progress_printer()
+
     def progress(done, total, h, g):
-        print(f"  [{done}/{total}] H={h:.2f} G={g:.2f}", flush=True)
+        report(done, total, f" H={h:.2f} G={g:.2f}")
 
     state = {"last_save": time.monotonic()}
 
@@ -332,10 +353,7 @@ def cmd_study(args) -> int:
 
 def _run_study(args, table, common, mapper) -> tuple[dict, str]:
     """Result and one-line summary of the requested study."""
-    def progress(done, total):
-        if done % max(1, total // 20) == 0:
-            print(f"  {done}/{total}", flush=True)
-
+    progress = _progress_printer(reports=20)
     if args.study == "calibration":
         result = studies_mod.null_calibration(
             table, replicates=args.replicates, n_samples=args.n_samples,

@@ -20,7 +20,8 @@ from .fbm import FbmParams
 from .fluctuation import fluctuation_analysis
 from .series import make_scales
 from .simulate import SimSpec, generate
-from .testkit import GaussianTailPool, scaled_rho, test_statistic
+from .testkit import GaussianTailPool, pool_normals, scaled_rho, \
+    test_statistic
 
 STUDY_NAMES = ("calibration", "nongaussian", "shortrange", "upperbound",
                "power", "speed")
@@ -151,15 +152,23 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
     For every tabulated grid node the per-scale boundary is
     theta* sqrt(C_ii / [N/n_i]) on the raw rho scale; the worst-case
     boundary over the full grid range must dominate all of them.
+
+    Every pool uses the same standard normals (common random numbers
+    across nodes), drawn once: the draws each node's own seeded pool
+    would make, so every theta* is that pool's.
     """
     scale_set = make_scales(n_samples, n_min, n_max, r, degree)
     scales = scale_set.scales
     grid = table.grid
+    normals = pool_normals(mc_samples, scale_set.r, seed)
+
+    def theta_star(cov):
+        return GaussianTailPool(cov.matrix, scale_set.r, mc_samples, seed,
+                                normals=normals).threshold(level)
 
     wc = worst_case_cov(scales, n_samples, (grid[0], grid[-1]),
                         (grid[0], grid[-1]), table, degree)
-    wc_theta = GaussianTailPool(wc.matrix, scale_set.r, mc_samples,
-                                seed).threshold(level)
+    wc_theta = theta_star(wc)
     wc_bounds = wc.rho_bounds(wc_theta)
 
     rows = []
@@ -169,8 +178,7 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
         for g in grid:
             cov = rho_null_cov(scales, n_samples, float(h), float(g), table,
                                degree)
-            theta = GaussianTailPool(cov.matrix, scale_set.r, mc_samples,
-                                     seed).threshold(level)
+            theta = theta_star(cov)
             bounds = cov.rho_bounds(theta)
             exceed = int(np.any(bounds > wc_bounds + 1e-12))
             violations += exceed

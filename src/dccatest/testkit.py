@@ -61,6 +61,24 @@ def _factor_cov(matrix: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+def _chunk_generators(samples: int, seed: int) -> list:
+    """One generator per _CHUNK rows of a pool's draws, spawned from
+    ``seed``: the streams every pool of that seed and size draws."""
+    n_chunks = (samples + _CHUNK - 1) // _CHUNK
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(n_chunks)]
+
+
+def pool_normals(samples: int, r: int, seed: int) -> np.ndarray:
+    """The standard normals a ``GaussianTailPool`` of dimension r draws,
+    as one (samples, r) matrix of samples * r * 8 bytes; pools of any
+    covariance take it as ``normals`` and skip their draws."""
+    out = np.empty((samples, r))
+    for i, rng in enumerate(_chunk_generators(samples, seed)):
+        rng.standard_normal(out=out[i * _CHUNK:(i + 1) * _CHUNK])
+    return out
+
+
 class GaussianTailPool:
     """Monte Carlo null of the joint statistic under N(0, C).
 
@@ -70,37 +88,47 @@ class GaussianTailPool:
     SeedSequence keeps results reproducible and independent of chunk
     scheduling, so chunks are filled on two threads; a pool rebuilt from
     the same arguments gives the same numbers.
+
+    Given ``normals = pool_normals(samples, r, seed)``, the pool takes
+    its blocks from that matrix instead of drawing them and is the same
+    pool bit for bit; without it no samples x r matrix is held.  For
+    kappa = 1 and kappa = r the levels are selected without a sort.
     """
 
     def __init__(self, matrix: np.ndarray, kappa: int, samples: int,
-                 seed: int):
+                 seed: int, normals: np.ndarray | None = None):
         matrix = np.asarray(matrix, dtype=float)
         r = matrix.shape[0]
         if not 1 <= kappa <= r:
             raise ValueError(f"kappa must lie in 1..{r}")
         if samples < MIN_MC_SAMPLES:
             raise ValueError(f"need at least {MIN_MC_SAMPLES} MC samples")
+        if normals is not None and np.shape(normals) != (samples, r):
+            raise ValueError(
+                f"normals have shape {np.shape(normals)}, the pool needs "
+                f"({samples}, {r})"
+            )
         factor = _factor_cov(matrix)
         std = np.sqrt(np.diag(matrix))
 
-        n_chunks = (samples + _CHUNK - 1) // _CHUNK
-        seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+        rngs = _chunk_generators(samples, seed)
         rows = max(1, _BLOCK_MADDS // r ** 2)
         values = np.empty(samples)
 
         def fill(i):
             # Chunk i block by block: its generator gives the same stream
             # whether drawn at once or in consecutive blocks.
-            rng = np.random.default_rng(seeds[i])
             stop = min((i + 1) * _CHUNK, samples)
             for start in range(i * _CHUNK, stop, rows):
-                out = values[start:min(start + rows, stop)]
-                s = rng.standard_normal((len(out), r)) @ factor.T
+                end = min(start + rows, stop)
+                draws = rngs[i].standard_normal((end - start, r)) \
+                    if normals is None else normals[start:end]
+                s = draws @ factor.T
                 s /= std
-                np.maximum(*_branch_levels(s, kappa), out=out)
+                np.maximum(*_branch_levels(s, kappa), out=values[start:end])
 
-        with ThreadPoolExecutor(min(_POOL_THREADS, n_chunks)) as executor:
-            list(executor.map(fill, range(n_chunks)))
+        with ThreadPoolExecutor(min(_POOL_THREADS, len(rngs))) as executor:
+            list(executor.map(fill, range(len(rngs))))
         values.sort()
         self.values = values
         self.samples = samples
@@ -158,10 +186,20 @@ def _branch_levels(s: np.ndarray, kappa: int):
     """(kappa-th largest, minus kappa-th smallest) of standardised values
     along the last axis: the levels of the positive and negative branch.
 
-    One sort along the last axis selects both; for r <= 64 it is faster
-    than either one or two ``np.partition`` calls.
+    For kappa = 1 and kappa = r these are the row minimum and maximum,
+    taken by a running ``np.fmin``/``np.maximum`` over the r columns:
+    faster than a sort, and the sort's values (NaN sorts last, so the
+    minimum skips it and the maximum is NaN).  Other kappa take one sort
+    along the last axis, which for r <= 64 is faster than either one or
+    two ``np.partition`` calls.
     """
     r = s.shape[-1]
+    if kappa in (1, r):
+        low, high = s[..., 0].copy(), s[..., 0].copy()
+        for j in range(1, r):
+            np.fmin(low, s[..., j], out=low)
+            np.maximum(high, s[..., j], out=high)
+        return (low, -high) if kappa == r else (high, -low)
     ordered = np.sort(s, axis=-1)
     return ordered[..., r - kappa], -ordered[..., kappa - 1]
 

@@ -7,9 +7,12 @@ the package against it.
 
 import numpy as np
 
-from dccatest.asymptotics import _cross_cov_disp_batch
+from dccatest.asymptotics import (_cross_cov_disp_batch, rho_null_cov,
+                                  worst_case_cov)
 from dccatest.fbm import _LOG_BRANCH_TOL, FbmParams, _xlogx
 from dccatest.fluctuation import _window_residuals, poly_basis
+from dccatest.series import make_scales
+from dccatest.testkit import GaussianTailPool
 
 
 def detrend_window(w: np.ndarray, degree: int) -> np.ndarray:
@@ -92,3 +95,33 @@ def fbm_cross_cov(s, t, params: FbmParams) -> float | np.ndarray:
     if val.ndim == 0:
         return float(val)
     return val
+
+
+def upperbound_rows(table, *, n_samples: int, level: float, n_min: int,
+                    n_max: int, r: int, degree: int, mc_samples: int,
+                    seed: int) -> list[dict]:
+    """Rows of ``studies.upperbound_check`` with one freshly drawn, seeded
+    Monte Carlo pool per grid node and one for the worst case."""
+    scales = make_scales(n_samples, n_min, n_max, r, degree).scales
+    grid = table.grid
+
+    def row(h, g, cov):
+        theta = GaussianTailPool(cov.matrix, len(scales), mc_samples,
+                                 seed).threshold(level)
+        out = {"hurst1": h, "hurst2": g, "theta_star": theta}
+        return out, cov.rho_bounds(theta)
+
+    worst, wc_bounds = row(float("nan"), float("nan"), worst_case_cov(
+        scales, n_samples, (grid[0], grid[-1]), (grid[0], grid[-1]), table,
+        degree))
+    worst["violation"] = 0
+    worst.update({f"bound_n{n}": b for n, b in zip(scales, wc_bounds)})
+    rows = []
+    for h in grid:
+        for g in grid:
+            node, bounds = row(float(h), float(g), rho_null_cov(
+                scales, n_samples, float(h), float(g), table, degree))
+            node["violation"] = int(np.any(bounds > wc_bounds + 1e-12))
+            node.update({f"bound_n{n}": b for n, b in zip(scales, bounds)})
+            rows.append(node)
+    return rows + [worst]

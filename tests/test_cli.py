@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -246,6 +247,25 @@ def test_study_speed_plumbing(tmp_path, table_file):
     assert code == 0
     rows = [ln for ln in open(out) if not ln.startswith("#")]
     assert "tabulated" in rows[1] and "surrogate" in rows[2]
+
+
+def test_study_stdout_is_csv_only(capsys):
+    # Without --out, stdout holds the comment lines and the CSV alone;
+    # progress goes to stderr.
+    assert main(["study", "--study", "calibration", "--replicates", "40",
+                 "--N", "2000"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    body = [ln for ln in lines if not ln.startswith("#")]
+    assert lines[:len(lines) - len(body)] == [
+        ln for ln in lines if ln.startswith("#")]
+    rows = list(csv.reader(body))
+    assert rows[0] == ["replicate", "statistic", "p_value", "reject"]
+    assert len(rows) == 41
+    assert [int(row[0]) for row in rows[1:]] == list(range(40))
+    for row in rows[1:]:
+        assert len(row) == 4 and 0.0 < float(row[2]) <= 1.0
+    assert "[40/40]" in captured.err and "ETA" in captured.err
 
 
 def test_study_unknown_name_is_usage_error(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from dccatest.asymptotics import NullCovariance, rho_null_cov
@@ -9,7 +10,8 @@ from dccatest.series import SeriesPair, make_scales
 from dccatest.simulate import SimSpec, add_trend, gen_bfgn
 from dccatest.fbm import FbmParams
 from dccatest.testkit import (_CHUNK, GaussianTailPool, TestConfig,
-                              stat_dcca, statistic_direction)
+                              _branch_levels, pool_normals, stat_dcca,
+                              statistic_direction)
 from dccatest.testkit import test_statistic as joint_statistic
 
 
@@ -96,14 +98,43 @@ def _whole_chunk_pool(matrix, kappa, samples, seed):
 @pytest.mark.parametrize("r", [3, 10, 25])
 def test_pool_matches_whole_chunk_draws(r):
     """Blocked filling on threads gives the values of one draw, one
-    product and one sort per chunk, bit for bit."""
+    product and one sort per chunk, bit for bit, whether the pool draws
+    its own normals or takes them from ``pool_normals``."""
     a = np.random.default_rng(r).standard_normal((r, r))
     matrix = a @ a.T + r * np.eye(r)
     samples = 2 * _CHUNK + 5
+    normals = pool_normals(samples, r, seed=r)
     for kappa in (r, r - 1, 1):
         pool = GaussianTailPool(matrix, kappa, samples, seed=r)
         ref = _whole_chunk_pool(matrix, kappa, samples, r)
         assert np.array_equal(pool.values, ref), kappa
+        shared = GaussianTailPool(matrix, kappa, samples, seed=r,
+                                  normals=normals)
+        assert shared.values.tobytes() == pool.values.tobytes(), kappa
+
+
+_LEVEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.integers(1, 12).flatmap(lambda r: st.one_of(
+           arrays(float, r, elements=_LEVEL_VALUES),
+           arrays(float, st.tuples(st.integers(0, 6), st.just(r)),
+                  elements=_LEVEL_VALUES))),
+       top=st.booleans())
+def test_branch_levels_selection_matches_sort(s, top):
+    """For kappa = 1 and r the min/max selection gives the levels of the
+    row sort, with ties, signed zeros, infinities and NaN, for 1-D rows
+    and for matrices."""
+    r = s.shape[-1]
+    kappa = r if top else 1
+    ordered = np.sort(s, axis=-1)
+    upper, lower = _branch_levels(s, kappa)
+    assert np.array_equal(upper, ordered[..., r - kappa], equal_nan=True)
+    assert np.array_equal(lower, -ordered[..., kappa - 1], equal_nan=True)
+    assert np.shape(upper) == np.shape(lower) == s.shape[:-1]
 
 
 def test_crit_threshold_univariate():
@@ -226,6 +257,9 @@ def test_pool_floor_and_validation():
     assert pool.p_values(30.0)[0] == 1e-5
     with pytest.raises(ValueError):
         pool.threshold(1e-6)  # below the 1/samples resolution
+    for shape in ((100_000, 2), (100_001, 1), (1, 100_000), (100_000,)):
+        with pytest.raises(ValueError, match="normals have shape"):
+            GaussianTailPool(c1, 1, 100_000, seed=0, normals=np.zeros(shape))
 
 
 def _test_config(scale_set, **kw):
