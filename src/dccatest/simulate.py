@@ -2,15 +2,20 @@
 
 Exact bivariate fractional Gaussian noise is generated either by dense
 factorisation of the joint 2N x 2N increment covariance (reference
-path, small N) or by multivariate circulant embedding (fast path); the
-embedding is accepted only when every per-frequency 2x2 spectral block
-is positive semidefinite, otherwise the generator falls back to the
-dense path or fails.  Non-Gaussian fractional noise applies a
-sign(x)|x|^phi marginal transform to white noise and then shapes its
-spectrum to the fGn target with a linear circular filter, so the output
-shares the second-order structure of fGn while keeping positive excess
-kurtosis.  Short-range-contaminated mixtures superpose an independent
-long-range pair with a correlated, hard high-pass-filtered white pair.
+path, small N) or by multivariate circulant embedding on a power-of-two
+length L >= 2N (fast path); the embedding is accepted only when every
+per-frequency 2x2 spectral block is positive semidefinite, otherwise
+the generator falls back to the dense path or fails.  The embedding
+works on the Hermitian half spectrum (Wood & Chan 1994; Chan & Wood
+1999): L real normals per component fill the L/2 + 1 non-negative
+frequencies, the 2x2 block roots mix the two components bin by bin,
+and one real inverse FFT per component gives the pair.  Non-Gaussian
+fractional noise applies a sign(x)|x|^phi marginal transform to white
+noise and then shapes its spectrum to the fGn target with a linear
+circular filter, so the output shares the second-order structure of fGn
+while keeping positive excess kurtosis.  Short-range-contaminated
+mixtures superpose an independent long-range pair with a correlated,
+hard high-pass-filtered white pair.
 """
 
 from __future__ import annotations
@@ -126,16 +131,20 @@ def _embed(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _circulant_root(n: int, params: FbmParams):
     """Embedding length and the per-frequency 2x2 square root (b11, b22,
-    b12) of the circulant embedding's spectral blocks, after checking
-    that every block is positive semidefinite.  Cached per (n, params)
-    and read-only, since every replicate of a study shares them."""
+    b12) of the circulant embedding's spectral blocks on the L/2 + 1
+    non-negative frequencies, after checking that every block is
+    positive semidefinite.  Cached per (n, params) and read-only, since
+    every replicate of a study shares them."""
     length = _embedding_length(n)
     g11, g22, g12_pos, g12_neg = _increment_cov_sequences(length // 2 + 1,
                                                           params)
-    lam11 = np.fft.fft(_embed(g11, g11)).real
-    lam22 = np.fft.fft(_embed(g22, g22)).real
+    lam11 = np.fft.rfft(_embed(g11, g11)).real
+    lam22 = np.fft.rfft(_embed(g22, g22)).real
     # Cross block oriented so that E[eps1(t) eps2(t+k)] = gamma12(k).
-    lam12 = np.fft.fft(_embed(g12_neg, g12_pos))
+    lam12 = np.fft.rfft(_embed(g12_neg, g12_pos))
+    # The L/2 + 1 bins cover all L: lam11 and lam22 are symmetric and
+    # lam12 at L - k is conj(lam12 at k), so the block at L - k is the
+    # conjugate of the block at k, with the same eigenvalues.
     scale = max(lam11.max(), lam22.max())
     if lam11.min() < -_EMBED_TOL * scale or lam22.min() < -_EMBED_TOL * scale:
         raise ValueError("circulant embedding has negative auto spectrum")
@@ -163,15 +172,23 @@ def _gen_bfgn_circulant(n: int, params: FbmParams,
                         rng: np.random.Generator
                         ) -> tuple[np.ndarray, np.ndarray]:
     length, b11, b22, b12 = _circulant_root(n, params)
-    xi = rng.standard_normal((2, 2, length))
-    xi1 = (xi[0, 0] + 1j * xi[0, 1]) / math.sqrt(2.0)
-    xi2 = (xi[1, 0] + 1j * xi[1, 1]) / math.sqrt(2.0)
+    # One (2, L) block of normals: entries 0..L/2 of each row are the
+    # real parts of bins 0..L/2, the other L/2 - 1 the imaginary parts of
+    # bins 1..L/2 - 1.  Bins 0 and L/2 stay real with unit variance;
+    # interior bins are scaled to E|xi|^2 = 1.
+    half = length // 2
+    z = rng.standard_normal((2, length))
+    xi = z[:, :half + 1].astype(complex)
+    xi.imag[:, 1:half] = z[:, half + 1:]
+    xi[:, 1:half] *= math.sqrt(0.5)
+    xi1, xi2 = xi
     w1 = b11 * xi1 + b12 * xi2
     w2 = np.conj(b12) * xi1 + b22 * xi2
-    s1 = np.fft.ifft(w1)
-    s2 = np.fft.ifft(w2)
-    root = math.sqrt(2.0 * length)
-    return root * s1.real[:n], root * s2.real[:n]
+    # The Hermitian extension of w makes the inverse transform real;
+    # norm="ortho" is sqrt(L) * irfft.
+    y1 = np.fft.irfft(w1, length, norm="ortho")
+    y2 = np.fft.irfft(w2, length, norm="ortho")
+    return y1[:n], y2[:n]
 
 
 def gen_bfgn(spec: SimSpec, method: str = "auto",
@@ -211,14 +228,22 @@ def _signed_power_std(phi: float) -> float:
 
 @lru_cache(maxsize=4)
 def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:
-    """Nonnegative circulant spectrum of fGn on a length >= 2n grid;
+    """Nonnegative circulant spectrum of fGn on a length >= 2n grid, on
+    its L/2 + 1 non-negative frequencies (the spectrum is symmetric);
     cached and read-only like ``_circulant_root``."""
     length = _embedding_length(n)
     g = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst))
-    lam = np.fft.fft(_embed(g, g)).real
+    lam = np.fft.rfft(_embed(g, g)).real
     gain = np.sqrt(np.clip(lam, 0.0, None))
     gain.setflags(write=False)
     return length, gain
+
+
+def _fgn_filter(w: np.ndarray, n: int, hurst: float) -> np.ndarray:
+    """First n samples of the circular filtering of the length-L series
+    ``w`` by the fGn gain."""
+    length, gain = _fgn_filter_gains(n, hurst)
+    return np.fft.irfft(np.fft.rfft(w) * gain, length)[:n]
 
 
 def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:
@@ -236,10 +261,8 @@ def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     sigma_w = _signed_power_std(spec.phi)
 
     def one(hurst: float, white: np.ndarray) -> np.ndarray:
-        _, gain = _fgn_filter_gains(spec.n_samples, hurst)
         w = np.sign(white) * np.abs(white) ** spec.phi
-        x = np.fft.ifft(np.fft.fft(w) * gain).real / sigma_w
-        return x[: spec.n_samples]
+        return _fgn_filter(w, spec.n_samples, hurst) / sigma_w
 
     length = _fgn_filter_gains(spec.n_samples, p.hurst1)[0]
     g1 = rng.standard_normal(length)

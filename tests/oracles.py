@@ -9,7 +9,8 @@ import numpy as np
 
 from dccatest.asymptotics import (_cross_cov_disp_batch, rho_null_cov,
                                   worst_case_cov)
-from dccatest.fbm import _LOG_BRANCH_TOL, FbmParams, _xlogx
+from dccatest.fbm import (_LOG_BRANCH_TOL, FbmParams, _xlogx, fgn_autocov,
+                         fgn_cross_cov)
 from dccatest.fluctuation import _window_residuals, poly_basis
 from dccatest.series import make_scales
 from dccatest.testkit import GaussianTailPool
@@ -95,6 +96,18 @@ def fbm_cross_cov(s, t, params: FbmParams) -> float | np.ndarray:
     if val.ndim == 0:
         return float(val)
     return val
+
+
+def bfgn_joint_cov(n: int, params: FbmParams) -> np.ndarray:
+    """Covariance of the stacked increments (y1(0..n-1), y2(0..n-1)) of
+    bivariate fGn, entry by entry: E[y1(i) y2(j)] = gamma12(j - i)."""
+    i, j = np.indices((n, n))
+    cov = np.empty((2 * n, 2 * n))
+    cov[:n, :n] = fgn_autocov(j - i, params.hurst1, params.sigma1)
+    cov[n:, n:] = fgn_autocov(j - i, params.hurst2, params.sigma2)
+    cov[:n, n:] = fgn_cross_cov(j - i, params)
+    cov[n:, :n] = cov[:n, n:].T
+    return cov
 
 
 def upperbound_rows(table, *, n_samples: int, level: float, n_min: int,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dccatest import series
 from dccatest.series import (InfeasibleScalesError, SeriesPair,
                              _parse_columns, _parse_lines,
                              integrate_profile, load_pair, make_scales,
@@ -220,3 +221,18 @@ def test_write_pair_round_trip(tmp_path, rng):
     loaded = load_pair(str(path))
     assert np.array_equal(loaded.y1, pair.y1)
     assert np.array_equal(loaded.y2, pair.y2)
+
+
+def test_write_pair_bytes_match_per_element_repr(tmp_path, monkeypatch):
+    # Same bytes as writing repr(float(v)) row by row, on values whose
+    # repr is easy to get wrong: signed zero, subnormals, large, inexact;
+    # blocks of 4 rows put a block boundary inside the 6 rows.
+    monkeypatch.setattr(series, "_WRITE_ROWS", 4)
+    y1 = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1, -2.5])
+    y2 = np.array([0.1, 1e16, -0.0, 5e-324, 1e-300, 3.0])
+    path = tmp_path / "out.csv"
+    write_pair(str(path), SeriesPair.from_increments(y1, y2),
+               comment="two\nlines")
+    expected = "# two\n# lines\n" + "".join(
+        f"{float(a)!r},{float(b)!r}\n" for a, b in zip(y1, y2))
+    assert path.read_bytes() == expected.encode("utf-8")

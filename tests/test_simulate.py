@@ -6,10 +6,12 @@ from dccatest.fbm import FbmParams, fgn_autocov
 from dccatest.fluctuation import fluctuation_analysis, hurst_estimate
 from dccatest.series import make_scales
 from dccatest.simulate import (SimSpec, _bfgn_from_rng, _circulant_root,
-                               _fgn_filter_gains, _highpass,
-                               _signed_power_std, add_trend, gen_bfgn,
-                               gen_mixture, gen_nongaussian, generate,
-                               replicate_rng)
+                               _embedding_length, _fgn_filter,
+                               _fgn_filter_gains, _gen_bfgn_circulant,
+                               _highpass, _signed_power_std, add_trend,
+                               gen_bfgn, gen_mixture, gen_nongaussian,
+                               generate, replicate_rng)
+from oracles import bfgn_joint_cov
 
 
 def _spec(kind="bfgn", n=4096, h=0.7, g=0.8, rho=0.0, seed=0, **kw):
@@ -34,7 +36,10 @@ def test_spectral_roots_cached_read_only():
     assert _circulant_root(4096, params) is root
     gains = _fgn_filter_gains(4096, 0.7)
     assert _fgn_filter_gains(4096, 0.7) is gains
+    # Both live on the L/2 + 1 non-negative frequencies only.
+    half = _embedding_length(4096) // 2 + 1
     for block in (*root[1:], gains[1]):
+        assert len(block) == half
         assert not block.flags.writeable
 
 
@@ -99,6 +104,54 @@ def test_bfgn_dense_and_circulant_agree_in_distribution():
         circ[i] = _bfgn_from_rng(n, params, replicate_rng(2, i),
                                  method="circulant").y1[0]
     assert ks_2samp(dense, circ).pvalue > 0.01
+
+
+class _UnitDraws:
+    """Stand-in generator: its k-th ``standard_normal`` call returns the
+    k-th unit vector of the requested shape."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def standard_normal(self, shape):
+        z = np.zeros(shape)
+        z.flat[self.calls] = 1.0
+        self.calls += 1
+        return z
+
+
+@pytest.mark.parametrize("n, params", [
+    (37, FbmParams(hurst1=0.7, hurst2=0.8, rho=0.3, eta=0.05)),
+    (64, FbmParams(hurst1=0.6, hurst2=0.9, rho=-0.4, eta=-0.1)),
+    (50, FbmParams(hurst1=0.75, hurst2=0.75, rho=0.5)),
+])
+def test_circulant_embedding_exact_covariance(n, params):
+    # The generator is linear in its draws: feeding unit vectors gives
+    # the columns of the map M from the 2L draws to the 2n outputs, and
+    # the output covariance is M M^T.  It must be the exact bfGn target
+    # (eta != 0 makes the cross block asymmetric), and every draw must
+    # reach the output.
+    length = _embedding_length(n)
+    stub = _UnitDraws()
+    cols = [np.concatenate(_gen_bfgn_circulant(n, params, stub))
+            for _ in range(2 * length)]
+    m = np.column_stack(cols)
+    target = bfgn_joint_cov(n, params)
+    assert np.abs(m @ m.T - target).max() <= 1e-10 * np.abs(target).max()
+    assert np.all(np.abs(m).max(axis=0) > 0)
+
+
+def test_nongaussian_filter_matches_complex_fft_form(rng):
+    # The half-spectrum filter equals ifft(fft(w) * gain).real with the
+    # full symmetric fGn gain built from the autocovariance.
+    n, hurst = 1000, 0.8
+    length = _embedding_length(n)
+    g = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst))
+    lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+    gain = np.sqrt(np.clip(lam, 0.0, None))
+    w = rng.standard_normal(length)
+    full = np.fft.ifft(np.fft.fft(w) * gain).real[:n]
+    assert np.abs(_fgn_filter(w, n, hurst) - full).max() <= 1e-12
 
 
 def test_bfgn_rejects_invalid_combination():
