@@ -10,14 +10,16 @@ between the participating windows,
     cov(F2_cross(n), F2_cross(m)) = trace(Q_n A_H Q_m A_G^T) / (n m)
 
 and the auto-statistic covariance carries an extra factor 2.  Because
-the residual projector annihilates constants, these moments depend only
-on window increments, which are stationary: blocks may be evaluated at
-any integer displacement, including negative ones, via the two-sided
-fBm kernel.
+the residual projector annihilates constants, only the lag term
+-|a - b|^{2H} / 2 of the fBm kernel survives in either trace: both
+moments are computed from lag powers alone, at any integer displacement
+of the windows, including negative ones.  Without the rank-one parts
+nothing cancels, and the cross kernel stays within about
+1e-9 |c(0)| of exact arithmetic out to 16 windows.
 
 Asymptotics per scale n are displacement sums: the variance limit of
 sqrt([N/n]) F2_cross(n) is the sum of covariances over window offsets j,
-truncated once the j^{2H+2G-8} tail bound falls below a configured
+truncated once the j^{2H+2G-4(d+1)} tail bound falls below a configured
 fraction of the accumulated sum.  Correlations between scales n and m
 sum displacements over the gcd(n, m) lattice that the two window grids
 realise.
@@ -84,57 +86,48 @@ def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
     """cov(F2 of window [1..n], F2 of window [off+1..off+m]) per offset.
 
     Pure cross-statistic covariance under the null (no factor 2); the
-    offsets are sample displacements and may be negative.  Evaluates
-    trace(Q_n A_H Q_m A_G^T)/(n m) through low-rank contractions with
-    the fit bases, never forming the projected matrices.
+    offsets are sample displacements and may be negative.  Q_n and Q_m
+    annihilate the rank-one parts of A_H and A_G, so the trace reduces
+    to trace(Q_n T_H Q_m T_G^T) / (4 n m) with the lag blocks
+    T[a, b] = |a - b - offset|^{2H}.  T_H is projected on both sides
+    with the thin fit bases and contracted once against T_G.
     """
     offsets = np.asarray(offsets, dtype=int)
     basis_n = poly_basis(n, degree)
     basis_m = poly_basis(m, degree)
-    a = np.arange(1, n + 1)
-    b = np.arange(1, m + 1)
-    lo = int(offsets.min()) + 1
-    hi = int(offsets.max()) + m
-    col_times = np.arange(lo, hi + 1)
-    diff_max = int(np.abs(a[:, None] - np.array([lo, hi])[None, :]).max()) + 1
+    lags = np.arange(n)[:, None] - np.arange(m)[None, :]
+    lag_max = max(n - 1 - int(offsets.min()), m - 1 + int(offsets.max()))
+    steps = np.arange(lag_max + 1, dtype=float)
+    pow_h = steps ** (2.0 * hurst1)
+    pow_g = steps ** (2.0 * hurst2)
 
     out = np.empty(len(offsets))
     chunk = max(1, int(4e6 // (n * m)))
     for start in range(0, len(offsets), chunk):
         offs = offsets[start:start + chunk]
-        col_idx = (offs[:, None] + b[None, :]) - lo
-        diff_idx = np.abs(a[None, :, None]
-                          - (offs[:, None, None] + b[None, None, :]))
-        blocks = []
-        for h2 in (2.0 * hurst1, 2.0 * hurst2):
-            pow_diff = np.arange(diff_max + 1, dtype=float) ** h2
-            pow_row = a.astype(float) ** h2
-            pow_col = np.abs(col_times).astype(float) ** h2
-            block = 0.5 * (pow_row[None, :, None]
-                           + pow_col[col_idx][:, None, :]
-                           - pow_diff[diff_idx])
-            blocks.append(block)
-        ah, ag = blocks
-        t1 = np.einsum("kab,kab->k", ah, ag)
-        vta = np.einsum("ap,kab->kpb", basis_n, ah)
-        vtb = np.einsum("ap,kab->kpb", basis_n, ag)
-        t2 = np.einsum("kpb,kpb->k", vta, vtb)
-        aw = np.einsum("kab,bp->kap", ah, basis_m)
-        bw = np.einsum("kab,bp->kap", ag, basis_m)
-        t3 = np.einsum("kap,kap->k", aw, bw)
-        vaw = np.einsum("ap,kaq->kpq", basis_n, aw)
-        vbw = np.einsum("ap,kaq->kpq", basis_n, bw)
-        t4 = np.einsum("kpq,kpq->k", vaw, vbw)
-        out[start:start + chunk] = (t1 - t2 - t3 + t4) / (n * m)
-    return out
+        dist = np.abs(lags[None, :, :] - offs[:, None, None])
+        proj = pow_h[dist]
+        proj -= basis_n @ (basis_n.T @ proj)
+        proj -= (proj @ basis_m) @ basis_m.T
+        out[start:start + chunk] = np.einsum("kab,kab->k", proj,
+                                             pow_g[dist])
+    return out / (4.0 * n * m)
 
 
 # ---------------------------------------------------------------------------
 # Asymptotic displacement sums
 # ---------------------------------------------------------------------------
 
-def _tail_exponent(hurst1: float, hurst2: float) -> float:
-    return 2.0 * hurst1 + 2.0 * hurst2 - 8.0
+def _tail_exponent(hurst1: float, hurst2: float, degree: int) -> float:
+    """Exponent alpha of the window-pair covariance decay j^alpha."""
+    alpha = 2.0 * hurst1 + 2.0 * hurst2 - 4.0 * (degree + 1)
+    if alpha >= -1.0:
+        raise ValueError(
+            f"window-offset sum diverges for H={hurst1}, G={hurst2} at "
+            f"degree {degree}: covariances decay like j^{alpha:g}; "
+            "use a higher degree"
+        )
+    return alpha
 
 
 def f2_variance_limit(n: int, hurst1: float, hurst2: float, degree: int,
@@ -142,10 +135,10 @@ def f2_variance_limit(n: int, hurst1: float, hurst2: float, degree: int,
     """Limit of [N/n] var(F2_cross(n)) as a window-offset sum.
 
     Returns (sum, j_max) where offsets -j_max..j_max were included;
-    truncation stops once the measured j^{2H+2G-8} tail bound drops
-    below ``tail_tol`` of the accumulated sum.
+    truncation stops once the measured j^{2H+2G-4(d+1)} tail bound
+    drops below ``tail_tol`` of the accumulated sum.
     """
-    alpha = _tail_exponent(hurst1, hurst2)
+    alpha = _tail_exponent(hurst1, hurst2, degree)
     total = float(_cross_cov_disp_batch(n, n, np.array([0]), hurst1, hurst2,
                                         degree)[0])
     j = 0
@@ -160,9 +153,9 @@ def f2_variance_limit(n: int, hurst1: float, hurst2: float, degree: int,
         tail = 2.0 * abs(float(vals[-1])) * j / (-alpha - 1.0)
         if tail < tail_tol * abs(total):
             return total, j
-        # Far blocks sink below the cancellation floor of the trace
-        # differences, where magnitudes stop decaying; the physical tail
-        # is negligible there.
+        # Rising magnitudes mean the blocks reached the kernel's
+        # round-off floor (about 1e-9 |c(0)|); the physical tail is
+        # negligible there.
         if j > 2 * block and abs(block_sum) >= prev_mag:
             return total, j
         prev_mag = abs(block_sum)
@@ -184,25 +177,18 @@ def _lattice_shell(k: int, width: int, g: int) -> np.ndarray:
 
 
 def f2_cross_scale_corr(n: int, m: int, hurst1: float, hurst2: float,
-                        degree: int, tail_tol: float = DEFAULT_TAIL_TOL,
-                        var_n: float | None = None,
-                        var_m: float | None = None) -> float:
-    """Asymptotic correlation between F2_cross(n) and F2_cross(m).
+                        degree: int, var_n: float, var_m: float,
+                        tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+    """Asymptotic correlation between F2_cross(n) and F2_cross(m), n != m.
 
     corr = (g / sqrt(n m)) sum_{delta in g Z} c(delta) / sqrt(V_n V_m)
     with g = gcd(n, m), c the window-pair covariance at sample
-    displacement delta, and V the single-scale variance limits.
+    displacement delta, and V_n = ``var_n``, V_m = ``var_m`` the
+    single-scale variance limits of :func:`f2_variance_limit`.
     """
-    if n == m:
-        return 1.0
     g = math.gcd(n, m)
     width = max(n, m)
-    alpha = _tail_exponent(hurst1, hurst2)
-    if var_n is None:
-        var_n, _ = f2_variance_limit(n, hurst1, hurst2, degree, tail_tol)
-    if var_m is None:
-        var_m, _ = f2_variance_limit(m, hurst1, hurst2, degree, tail_tol)
-
+    alpha = _tail_exponent(hurst1, hurst2, degree)
     total = 0.0
     k = 0
     prev_mag = np.inf
@@ -215,9 +201,9 @@ def f2_cross_scale_corr(n: int, m: int, hurst1: float, hurst2: float,
             tail = abs(shell_sum) * k / (-alpha - 1.0)
             if tail < tail_tol * abs(total):
                 break
-            # Rising shell magnitudes mark the cancellation noise floor
-            # of the trace differences; the physical tail decayed into
-            # it and further shells only accumulate round-off.
+            # Rising shell magnitudes mark the kernel's round-off floor
+            # (about 1e-9 |c(0)|); the physical tail decayed into it and
+            # further shells only accumulate round-off.
             if k >= 3 and abs(shell_sum) >= prev_mag:
                 break
         prev_mag = abs(shell_sum)
@@ -372,8 +358,7 @@ def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int,
         else:
             var_m, _ = f2_variance_limit(size, h, g, degree, tail_tol)
             corrs[q] = f2_cross_scale_corr(n_tab, size, h, g, degree,
-                                           tail_tol, var_n=var_sum,
-                                           var_m=var_m)
+                                           var_sum, var_m, tail_tol)
     return var_sum / n_tab ** (2.0 * (h + g)), corrs, jmax
 
 
@@ -408,6 +393,8 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
         raise ValueError("Hurst grid must lie within [0.5, 1)")
     if n_tab < 128:
         raise ValueError("n_tab must be at least 128")
+    # The slowest-decaying pair sits at the top of the grid.
+    _tail_exponent(float(grid[-1]), float(grid[-1]), degree)
 
     sizes = ratio_window_sizes(n_tab, ratios, degree)
     ratio_vals = np.array([s / n_tab for s in sizes])

@@ -85,16 +85,15 @@ def _parse_hurst(value: str) -> tuple:
 def _load_table(path: str | None) -> tuple[CovTable, str, str]:
     """Table plus its source name and SHA-256 checksum."""
     if path is None:
-        ref = resources.files("dccatest").joinpath("data",
-                                                   DEFAULT_TABLE_RESOURCE)
-        raw = ref.read_bytes()
-        table = loads_covtab(raw.decode("utf-8"),
-                             label=f"builtin:{DEFAULT_TABLE_RESOURCE}")
-        return table, f"builtin:{DEFAULT_TABLE_RESOURCE}", \
-            hashlib.sha256(raw).hexdigest()
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return load_covtab(path), path, hashlib.sha256(raw).hexdigest()
+        name = f"builtin:{DEFAULT_TABLE_RESOURCE}"
+        raw = resources.files("dccatest").joinpath(
+            "data", DEFAULT_TABLE_RESOURCE).read_bytes()
+    else:
+        name = path
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    return loads_covtab(raw.decode("utf-8"), label=name), name, \
+        hashlib.sha256(raw).hexdigest()
 
 
 @contextmanager

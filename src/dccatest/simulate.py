@@ -191,29 +191,23 @@ def _gen_bfgn_circulant(n: int, params: FbmParams,
     return y1[:n], y2[:n]
 
 
-def gen_bfgn(spec: SimSpec, method: str = "auto",
-             replicate: int = 0) -> SeriesPair:
+def gen_bfgn(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     """Draw one bivariate fGn pair with the marginal Hurst exponents and
     instantaneous cross-correlation of ``spec.params``."""
     rng = replicate_rng(spec.seed, replicate)
-    return _bfgn_from_rng(spec.n_samples, spec.params, rng, method)
+    return _bfgn_from_rng(spec.n_samples, spec.params, rng)
 
 
-def _bfgn_from_rng(n: int, params: FbmParams, rng: np.random.Generator,
-                   method: str = "auto") -> SeriesPair:
-    if method == "dense":
-        y1, y2 = _gen_bfgn_dense(n, params, rng)
-    elif method == "circulant":
+def _bfgn_from_rng(n: int, params: FbmParams,
+                   rng: np.random.Generator) -> SeriesPair:
+    """Circulant embedding, or the dense Cholesky factor up to
+    ``DENSE_N_CAP`` samples where the minimal embedding is not PSD."""
+    try:
         y1, y2 = _gen_bfgn_circulant(n, params, rng)
-    elif method == "auto":
-        try:
-            y1, y2 = _gen_bfgn_circulant(n, params, rng)
-        except ValueError:
-            if n > DENSE_N_CAP:
-                raise
-            y1, y2 = _gen_bfgn_dense(n, params, rng)
-    else:
-        raise ValueError(f"unknown generation method {method!r}")
+    except ValueError:
+        if n > DENSE_N_CAP:
+            raise
+        y1, y2 = _gen_bfgn_dense(n, params, rng)
     return SeriesPair.from_increments(y1, y2)
 
 
@@ -353,8 +347,7 @@ def generate(spec: SimSpec, replicate: int = 0) -> SeriesPair:
         return gen_nongaussian(spec, replicate=replicate)
     if spec.kind == "mixture":
         return gen_mixture(spec, replicate=replicate)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=spec.n_samples,
-                            params=spec.params, seed=spec.seed),
-                    replicate=replicate)
+    pair = _bfgn_from_rng(spec.n_samples, spec.params,
+                          replicate_rng(spec.seed, replicate))
     return add_trend(pair, spec.trend_coeffs1, spec.trend_coeffs2,
                      spec.trend_target)

@@ -5,6 +5,9 @@ window or entry by entry, so the tests can check the vectorised code of
 the package against it.
 """
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 
 from dccatest.asymptotics import (_cross_cov_disp_batch, rho_null_cov,
@@ -57,6 +60,67 @@ def fluct_cov_exact(n: int, m: int, j: int, hurst1: float, hurst2: float,
         return 2.0 * float(_cross_cov_disp_batch(
             n, m, np.array([j * n]), hurst1, hurst1, degree)[0])
     raise ValueError(f"unknown covariance kind {kind!r}")
+
+
+def _residual_projector(n: int, degree: int) -> list[list[Fraction]]:
+    """Exact I - V (V^T V)^{-1} V^T for V[a, p] = a^p on a = 1..n."""
+    size = degree + 1
+    vand = [[Fraction(a) ** p for p in range(size)] for a in range(1, n + 1)]
+    # Gauss-Jordan on [V^T V | I]; the Gram matrix is positive definite.
+    aug = [[sum(row[p] * row[q] for row in vand) for q in range(size)]
+           + [Fraction(int(p == q)) for q in range(size)]
+           for p in range(size)]
+    for p in range(size):
+        pivot = aug[p][p]
+        aug[p] = [v / pivot for v in aug[p]]
+        for q in range(size):
+            if q != p:
+                factor = aug[q][p]
+                aug[q] = [v - factor * w for v, w in zip(aug[q], aug[p])]
+    inv = [row[size:] for row in aug]
+    coef = [[sum(row[p] * inv[p][q] for p in range(size))
+             for q in range(size)] for row in vand]
+    return [[int(a == b) - sum(x * y for x, y in zip(coef[a], vand[b]))
+             for b in range(n)] for a in range(n)]
+
+
+def cross_cov_reference(n: int, m: int, offset: int, hurst1: float,
+                        hurst2: float, degree: int) -> float:
+    """cov(F2_cross of window [1..n], F2_cross of window
+    [offset+1..offset+m]) under the null, from the full fBm kernel.
+
+    trace(Q_n A_H Q_m A_G^T) / (n m) with the exact rational residual
+    projectors and 50-digit powers, so the rank-one parts of the fBm
+    blocks cancel without loss; uses the standard library only.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q_n, q_m = ([[Decimal(v.numerator) / Decimal(v.denominator)
+                      for v in row]
+                     for row in _residual_projector(size, degree)]
+                    for size in (n, m))
+        half = Decimal(1) / 2
+
+        def fbm_block(hurst):
+            power = {}
+
+            def pw(x):
+                x = abs(x)
+                if x not in power:
+                    power[x] = Decimal(x) ** Decimal(2.0 * hurst)
+                return power[x]
+
+            return [[half * (pw(a) + pw(b + offset) - pw(a - b - offset))
+                     for b in range(1, m + 1)] for a in range(1, n + 1)]
+
+        a_h, a_g = fbm_block(hurst1), fbm_block(hurst2)
+        left = [[sum(q_n[a][c] * a_h[c][b] for c in range(n))
+                 for b in range(m)] for a in range(n)]
+        proj = [[sum(left[a][c] * q_m[c][b] for c in range(m))
+                 for b in range(m)] for a in range(n)]
+        trace = sum(proj[a][b] * a_g[a][b]
+                    for a in range(n) for b in range(m))
+        return float(trace / (n * m))
 
 
 def fbm_auto_cov(s, t, hurst: float, sigma: float = 1.0) -> np.ndarray:

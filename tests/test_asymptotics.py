@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dccatest.asymptotics import (CovTable, f2_variance_limit,
+from dccatest.asymptotics import (CovTable, _cross_cov_disp_batch,
+                                  f2_cross_scale_corr, f2_variance_limit,
                                   fluct_mean_exact, load_covtab, rho_null_cov,
-                                  save_covtab, tabulate, worst_case_cov)
+                                  save_covtab, tabulate, tabulate_pair,
+                                  worst_case_cov)
 from dccatest.fluctuation import poly_basis
-from oracles import fbm_auto_cov, fluct_cov_exact
+from oracles import cross_cov_reference, fbm_auto_cov, fluct_cov_exact
 
 
 def test_mean_hand_computation():
@@ -91,10 +93,24 @@ def test_cov_offset_decay_rate():
     js = np.array([4.0, 8.0, 16.0])
     slope = np.polyfit(np.log(js), np.log([abs(c[int(j)]) for j in js]), 1)[0]
     assert abs(slope - alpha) < 0.4
-    # Far-offset magnitude check; the trace difference cancels catastrophically
-    # below ~1e-11 of the j=0 value, so that floor is added to the bound.
+    # Far-offset magnitude check, with a round-off floor added to the
+    # bound.
     floor = 1e-10 * abs(c[0])
     assert abs(c[64]) <= 10.0 * 64.0 ** alpha * abs(c[1]) + floor
+
+
+@pytest.mark.parametrize("n, m", [(16, 16), (16, 8)])
+@pytest.mark.parametrize("h, g", [(0.7, 0.8), (0.9, 0.96)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cross_cov_matches_exact_arithmetic(n, m, h, g, degree):
+    # The reference evaluates the full fBm blocks with exact projectors
+    # and 50-digit powers, so it checks the lag-only identity as well as
+    # the rounding of the kernel out to 16 windows.
+    js = np.array([0, 1, 4, 16])
+    exact = np.array([cross_cov_reference(n, m, int(j) * n, h, g, degree)
+                      for j in js])
+    got = _cross_cov_disp_batch(n, m, js * n, h, g, degree)
+    assert np.abs(got - exact).max() <= 1e-9 * abs(exact[0])
 
 
 def test_cov_errors():
@@ -163,6 +179,47 @@ def test_variance_limit_positive_and_converged():
     # Tightening the tolerance changes the sum by less than the tolerance.
     tight, _ = f2_variance_limit(64, 0.7, 0.8, 1, tail_tol=1e-5)
     assert abs(total - tight) / tight < 2e-3
+
+
+def test_variance_limit_tail_exponent_follows_degree():
+    # At degree 0 window-pair covariances decay like j^{4H-4}, far slower
+    # than the j^{4H-8} of degree 1.  The reference sums 2,000 windows
+    # and adds the integral of the same power law beyond them.
+    n, h, j_ref = 64, 0.6, 2000
+    alpha = 4.0 * h - 4.0
+    total, jmax = f2_variance_limit(n, h, h, 0)
+    vals = _cross_cov_disp_batch(n, n, np.arange(j_ref + 1) * n, h, h, 0)
+    ref = vals[0] + 2.0 * vals[1:].sum() \
+        + 2.0 * vals[-1] * j_ref / (-alpha - 1.0)
+    assert jmax > 16
+    assert abs(total - ref) <= 2e-3 * ref
+
+
+def test_divergent_offset_sum_rejected():
+    # At degree 0, H + G >= 1.5 leaves a j^{>= -1} tail: no finite limit.
+    with pytest.raises(ValueError, match="diverges"):
+        f2_variance_limit(64, 0.8, 0.8, 0)
+    with pytest.raises(ValueError, match="diverges"):
+        f2_cross_scale_corr(64, 32, 0.8, 0.8, 0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="diverges"):
+        tabulate(grid=[0.6, 0.8], n_tab=128, ratios=[1.0], degree=0)
+
+
+@pytest.mark.parametrize("h, g", [(0.98, 0.98), (0.7, 0.8)])
+def test_shipped_table_matches_fresh_tabulation(full_table, h, g):
+    # The shipped table was built with an earlier kernel; a fresh
+    # tabulation at a few of its nodes and ratios reproduces it.
+    tab = full_table
+    qs = [0, 6, 10, 20, 21]
+    sizes = [int(round(tab.ratios[q] * tab.n_tab)) for q in qs]
+    i = int(np.argmin(np.abs(tab.grid - h)))
+    j = int(np.argmin(np.abs(tab.grid - g)))
+    var, corrs, jmax = tabulate_pair(float(tab.grid[i]), float(tab.grid[j]),
+                                     tab.n_tab, sizes, tab.degree,
+                                     tab.tail_tol)
+    assert var == pytest.approx(tab.variance[i, j], rel=1e-6)
+    assert np.abs(corrs - tab.correlation[qs, i, j]).max() <= 1e-4
+    assert jmax == tab.offsets_used[i, j]
 
 
 def test_tabulate_tiny_grid_properties(tiny_table):

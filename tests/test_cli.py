@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dccatest
 from dccatest.asymptotics import load_covtab, save_covtab
-from dccatest.cli import main
+from dccatest.cli import DEFAULT_TABLE_RESOURCE, main
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,34 @@ def test_analyze_report_round_trip(tmp_path, table_file):
     for row in per_scale:
         expected = np.sign(row["f2_cross"]) * np.log(abs(row["f2_cross"]))
         assert row["signlog_f2_cross"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_analyze_reports_table_checksum(tmp_path, table_file):
+    # The report names the table and the SHA-256 of its bytes, for a
+    # --table file and for the builtin table.
+    data = _simulate(tmp_path)
+    builtin = Path(dccatest.__file__).parent / "data" / DEFAULT_TABLE_RESOURCE
+    for extra, source, path in (
+            (["--table", table_file], table_file, table_file),
+            ([], f"builtin:{DEFAULT_TABLE_RESOURCE}", builtin)):
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", data, "--scales", "20:200:5", *extra,
+                     "--mc-samples", "150000", "--hurst", "known:0.7,0.9",
+                     "--out", out]) == 0
+        table = json.loads(open(out).read())["table"]
+        assert table["source"] == source
+        assert table["sha256"] == hashlib.sha256(
+            Path(path).read_bytes()).hexdigest()
+
+
+def test_tabulate_divergent_degree_exit_code(tmp_path, capsys):
+    # At degree 0 the offset sums diverge for H + G >= 1.5: a user error.
+    capsys.readouterr()
+    assert main(["tabulate", "--grid", "0.6:0.8:0.2", "--n-tab", "128",
+                 "--ratios", "1.0", "--degree", "0",
+                 "--out", str(tmp_path / "t.covtab")]) == 2
+    assert "diverges" in capsys.readouterr().err
+    assert not (tmp_path / "t.covtab").exists()
 
 
 def test_analyze_csv_format(tmp_path, table_file):

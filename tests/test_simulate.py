@@ -8,9 +8,9 @@ from dccatest.series import make_scales
 from dccatest.simulate import (SimSpec, _bfgn_from_rng, _circulant_root,
                                _embedding_length, _fgn_filter,
                                _fgn_filter_gains, _gen_bfgn_circulant,
-                               _highpass, _signed_power_std, add_trend,
-                               gen_bfgn, gen_mixture, gen_nongaussian,
-                               generate, replicate_rng)
+                               _gen_bfgn_dense, _highpass, _signed_power_std,
+                               add_trend, gen_bfgn, gen_mixture,
+                               gen_nongaussian, generate, replicate_rng)
 from oracles import bfgn_joint_cov
 
 
@@ -99,10 +99,8 @@ def test_bfgn_dense_and_circulant_agree_in_distribution():
     dense = np.empty(reps)
     circ = np.empty(reps)
     for i in range(reps):
-        dense[i] = _bfgn_from_rng(n, params, replicate_rng(1, i),
-                                  method="dense").y1[0]
-        circ[i] = _bfgn_from_rng(n, params, replicate_rng(2, i),
-                                 method="circulant").y1[0]
+        dense[i] = _gen_bfgn_dense(n, params, replicate_rng(1, i))[0][0]
+        circ[i] = _gen_bfgn_circulant(n, params, replicate_rng(2, i))[0][0]
     assert ks_2samp(dense, circ).pvalue > 0.01
 
 
@@ -155,9 +153,14 @@ def test_nongaussian_filter_matches_complex_fft_form(rng):
 
 
 def test_bfgn_rejects_invalid_combination():
-    # rho = 1 with distinct Hurst exponents is not a valid bivariate fBm.
-    with pytest.raises(ValueError):
-        gen_bfgn(_spec(h=0.55, g=0.95, rho=1.0, n=256), method="circulant")
+    # rho = 1 with distinct Hurst exponents is not a valid bivariate fBm:
+    # both generators refuse it, so the fallback does too.
+    spec = _spec(h=0.55, g=0.95, rho=1.0, n=256)
+    for gen in (_gen_bfgn_circulant, _gen_bfgn_dense):
+        with pytest.raises(ValueError, match="combination is invalid"):
+            gen(spec.n_samples, spec.params, replicate_rng(0))
+    with pytest.raises(ValueError, match="combination is invalid"):
+        gen_bfgn(spec)
 
 
 def test_bfgn_dfa_slope_oracle():
