@@ -3,7 +3,9 @@ increments of (bivariate) fractional Brownian motion.
 
 The cross kernel has two branches depending on whether the sum of the
 two Hurst exponents equals 1; the branch switch happens inside a 1e-9
-band around 1, where the logarithmic form applies.
+band around 1, where the logarithmic form applies.  Far from lag 0
+the second differences are summed as series in 1/k^2 rather than
+differenced, so they keep their relative precision at every lag.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ import numpy as np
 
 # Branch-switch tolerance on |H + G - 1|.
 _LOG_BRANCH_TOL = 1e-9
+
+# Second differences at lags |k| >= _SERIES_LAG are summed as series in
+# 1/k^2 whose terms shrink by more than 1/k^2 each, so seven terms leave
+# less than 256^-7 of the first; below it the plain form loses at most
+# about 4 eps k^2 / |a (a - 1)| relative (1e-12 at H = 0.55).
+_SERIES_LAG = 16
+_SERIES_TERMS = 7
+# Coefficients 1 / ((j + 1)(2j + 1)) of the series of the u log|u|
+# second difference times k.
+_XLOGX_D2 = [1.0 / ((j + 1) * (2 * j + 1)) for j in range(_SERIES_TERMS)]
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,38 @@ def _xlogx(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _even_series(k: np.ndarray, coeffs) -> np.ndarray:
+    """sum_j coeffs[j] k^(-2j), by Horner's rule in 1/k^2."""
+    y = 1.0 / (k * k)
+    out = np.full_like(k, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= y
+        out += c
+    return out
+
+
+def _pow_second_diff_far(k: np.ndarray, a: float) -> np.ndarray:
+    """(k+1)^a - 2 k^a + (k-1)^a at lags k >= _SERIES_LAG, as
+    2 k^(a-2) sum_j C(a, 2j+2) k^(-2j): the plain form cancels about
+    log10(k^2) digits, the series none."""
+    coeffs = [0.5 * a * (a - 1.0)]
+    for j in range(1, _SERIES_TERMS):
+        coeffs.append(coeffs[-1] * (a - 2 * j) * (a - 2 * j - 1)
+                      / ((2 * j + 1) * (2 * j + 2)))
+    return 2.0 * k ** (a - 2.0) * _even_series(k, coeffs)
+
+
+def _second_diff(psi, far, k: np.ndarray) -> np.ndarray:
+    """psi(k+1) - 2 psi(k) + psi(k-1), taken from ``far(k)`` at
+    |k| >= _SERIES_LAG, where the stencil does not cross zero."""
+    out = np.empty_like(k)
+    near = np.abs(k) < _SERIES_LAG
+    kn = k[near]
+    out[near] = psi(kn + 1.0) - 2.0 * psi(kn) + psi(kn - 1.0)
+    out[~near] = far(k[~near])
+    return out
+
+
 def fgn_autocov(k, hurst: float, sigma: float = 1.0) -> float | np.ndarray:
     """Autocovariance of fractional Gaussian noise at integer lag k.
 
@@ -66,9 +110,8 @@ def fgn_autocov(k, hurst: float, sigma: float = 1.0) -> float | np.ndarray:
         raise ValueError("Hurst exponent must lie in (0, 1)")
     k = np.abs(np.asarray(k, dtype=float))
     h2 = 2.0 * hurst
-    val = 0.5 * sigma * sigma * (
-        (k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2
-    )
+    val = 0.5 * sigma * sigma * _second_diff(
+        lambda u: np.abs(u) ** h2, lambda u: _pow_second_diff_far(u, h2), k)
     if val.ndim == 0:
         return float(val)
     return val
@@ -85,14 +128,26 @@ def fgn_cross_cov(k, params: FbmParams) -> float | np.ndarray:
     rho, eta = params.rho, params.eta
     amp = 0.5 * params.sigma1 * params.sigma2
 
+    # Far from lag 0 the sign of u is that of k over the whole stencil,
+    # so rho |u| drops out of the log branch, u log|u| is odd, and the
+    # power branch keeps a constant factor.
     if abs(hg - 1.0) < _LOG_BRANCH_TOL:
         def psi(u):
             return rho * np.abs(u) + eta * _xlogx(u)
+
+        def far(u):
+            # (k+1) log(k+1) - 2 k log k + (k-1) log(k-1) at k = |u|.
+            a = np.abs(u)
+            return eta * np.sign(u) / a * _even_series(a, _XLOGX_D2)
     else:
         def psi(u):
             return (rho - eta * np.sign(u)) * np.abs(u) ** hg
 
-    val = amp * (psi(k + 1.0) - 2.0 * psi(k) + psi(k - 1.0))
+        def far(u):
+            return (rho - eta * np.sign(u)) * _pow_second_diff_far(np.abs(u),
+                                                                   hg)
+
+    val = amp * _second_diff(psi, far, k)
     if val.ndim == 0:
         return float(val)
     return val

@@ -2,20 +2,21 @@
 
 Exact bivariate fractional Gaussian noise is generated either by dense
 factorisation of the joint 2N x 2N increment covariance (reference
-path, small N) or by multivariate circulant embedding on a power-of-two
-length L >= 2N (fast path); the embedding is accepted only when every
-per-frequency 2x2 spectral block is positive semidefinite, otherwise
-the generator falls back to the dense path or fails.  The embedding
-works on the Hermitian half spectrum (Wood & Chan 1994; Chan & Wood
-1999): L real normals per component fill the L/2 + 1 non-negative
-frequencies, the 2x2 block roots mix the two components bin by bin,
-and one real inverse FFT per component gives the pair.  Non-Gaussian
-fractional noise applies a sign(x)|x|^phi marginal transform to white
-noise and then shapes its spectrum to the fGn target with a linear
-circular filter, so the output shares the second-order structure of fGn
-while keeping positive excess kurtosis.  Short-range-contaminated
-mixtures superpose an independent long-range pair with a correlated,
-hard high-pass-filtered white pair.
+path, small N) or by multivariate circulant embedding on the smallest
+even 5-smooth length L >= 2N (fast path); the embedding is accepted
+only when every per-frequency 2x2 spectral block is positive
+semidefinite, otherwise the generator falls back to the dense path
+where bivariate fBm with those parameters exists, or fails.  The
+embedding works on the Hermitian half spectrum (Wood & Chan 1994; Chan
+& Wood 1999): L real normals per component fill the L/2 + 1
+non-negative frequencies, the 2x2 block roots mix the two components
+bin by bin, and one real inverse FFT per component gives the pair.
+Non-Gaussian fractional noise applies a sign(x)|x|^phi marginal
+transform to white noise and then shapes its spectrum to the fGn target
+with a linear circular filter, so the output shares the second-order
+structure of fGn while keeping positive excess kurtosis.
+Short-range-contaminated mixtures superpose an independent long-range
+pair with a correlated, hard high-pass-filtered white pair.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fbm import FbmParams, fgn_autocov, fgn_cross_cov
+from .fbm import _LOG_BRANCH_TOL, FbmParams, fgn_autocov, fgn_cross_cov
 from .series import SeriesPair
 
 DENSE_N_CAP = 4096
@@ -118,8 +119,21 @@ def _gen_bfgn_dense(n: int, params: FbmParams,
 
 
 def _embedding_length(n: int) -> int:
-    """Power-of-two circulant length, at least 2n and 16."""
-    return 1 << max(4, int(math.ceil(math.log2(2 * n))))
+    """Smallest even 5-smooth (2^a 3^b 5^c) circulant length at least 2n
+    and 16: the embedding needs an even length >= 2(n - 1), and
+    pocketfft transforms such lengths about as fast per point as powers
+    of two."""
+    half = max(8, n)
+    best = 1 << (half - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches half.
+            best = min(best, p35 << (-(-half // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return 2 * best
 
 
 def _embed(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -198,14 +212,34 @@ def gen_bfgn(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     return _bfgn_from_rng(spec.n_samples, spec.params, rng)
 
 
+def _bfgn_exists(params: FbmParams) -> bool:
+    """Whether bivariate fBm with these parameters exists: for
+    H + G != 1, rho^2 sin^2(pi (H+G)/2) + eta^2 cos^2(pi (H+G)/2) <=
+    Gamma(2H+1) Gamma(2G+1) sin(pi H) sin(pi G) / Gamma(H+G+1)^2
+    (Lavancier, Philippe & Surgailis 2009; Amblard & Coeurjolly 2011),
+    with a 1e-9 relative margin for the boundary; H + G = 1 is taken as
+    existing."""
+    h, g = params.hurst1, params.hurst2
+    hg = h + g
+    if abs(hg - 1.0) < _LOG_BRANCH_TOL:
+        return True
+    lhs = (params.rho * math.sin(0.5 * math.pi * hg)) ** 2 \
+        + (params.eta * math.cos(0.5 * math.pi * hg)) ** 2
+    rhs = math.gamma(2 * h + 1) * math.gamma(2 * g + 1) \
+        * math.sin(math.pi * h) * math.sin(math.pi * g) \
+        / math.gamma(hg + 1) ** 2
+    return lhs <= rhs * (1.0 + _EMBED_TOL)
+
+
 def _bfgn_from_rng(n: int, params: FbmParams,
                    rng: np.random.Generator) -> SeriesPair:
     """Circulant embedding, or the dense Cholesky factor up to
-    ``DENSE_N_CAP`` samples where the minimal embedding is not PSD."""
+    ``DENSE_N_CAP`` samples where the minimal embedding is not PSD but
+    the process exists."""
     try:
         y1, y2 = _gen_bfgn_circulant(n, params, rng)
     except ValueError:
-        if n > DENSE_N_CAP:
+        if n > DENSE_N_CAP or not _bfgn_exists(params):
             raise
         y1, y2 = _gen_bfgn_dense(n, params, rng)
     return SeriesPair.from_increments(y1, y2)

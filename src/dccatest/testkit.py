@@ -86,8 +86,9 @@ class GaussianTailPool:
     branches) of ``samples`` draws, which gives the critical threshold
     and the p-values.  Chunked generation with seeds derived from a
     SeedSequence keeps results reproducible and independent of chunk
-    scheduling, so chunks are filled on two threads; a pool rebuilt from
-    the same arguments gives the same numbers.
+    scheduling, so the chunks of a pool with more than one are filled on
+    two threads; a pool rebuilt from the same arguments gives the same
+    numbers.
 
     Given ``normals = pool_normals(samples, r, seed)``, the pool takes
     its blocks from that matrix instead of drawing them and is the same
@@ -127,8 +128,11 @@ class GaussianTailPool:
                 s /= std
                 np.maximum(*_branch_levels(s, kappa), out=values[start:end])
 
-        with ThreadPoolExecutor(min(_POOL_THREADS, len(rngs))) as executor:
-            list(executor.map(fill, range(len(rngs))))
+        if len(rngs) == 1:
+            fill(0)
+        else:
+            with ThreadPoolExecutor(_POOL_THREADS) as executor:
+                list(executor.map(fill, range(len(rngs))))
         values.sort()
         self.values = values
         self.samples = samples

@@ -123,6 +123,29 @@ def cross_cov_reference(n: int, m: int, offset: int, hurst1: float,
         return float(trace / (n * m))
 
 
+def fgn_cross_cov_reference(k: int, params: FbmParams) -> float:
+    """gamma12(k) of bivariate fGn: the second difference at integer lag
+    k of the cross kernel psi(u) = (rho - eta sign u)|u|^{H+G}, or
+    rho|u| + eta u log|u| on the H + G = 1 branch, in 50-digit decimal
+    arithmetic (standard library only).  With H = G, rho = 1 and eta = 0
+    it is the fGn autocovariance."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        hg = params.hurst1 + params.hurst2
+        rho, eta = Decimal(params.rho), Decimal(params.eta)
+
+        def psi(u):
+            if u == 0:
+                return Decimal(0)
+            a = Decimal(abs(u))
+            if abs(hg - 1.0) < _LOG_BRANCH_TOL:
+                return rho * a + eta * Decimal(u) * a.ln()
+            return (rho - eta * (1 if u > 0 else -1)) * a ** Decimal(hg)
+
+        d2 = psi(k + 1) - 2 * psi(k) + psi(k - 1)
+        return float(Decimal(params.sigma1) * Decimal(params.sigma2) * d2 / 2)
+
+
 def fbm_auto_cov(s, t, hurst: float, sigma: float = 1.0) -> np.ndarray:
     """E(X(s)X(t)) for fBm with the given Hurst exponent (any real s, t)."""
     s = np.asarray(s, dtype=float)

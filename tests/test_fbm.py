@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dccatest.fbm import FbmParams, fgn_autocov, fgn_cross_cov
-from oracles import fbm_auto_cov, fbm_cross_cov
+from oracles import fbm_auto_cov, fbm_cross_cov, fgn_cross_cov_reference
 
 
 def _params(h, g, rho=1.0, eta=0.0):
@@ -127,6 +127,33 @@ def test_fgn_cross_cov_second_difference_of_kernel():
                   - fbm_cross_cov(t0, t0 + k + 1, p)
                   + fbm_cross_cov(t0, t0 + k, p))
         assert fgn_cross_cov(k, p) == pytest.approx(direct, rel=1e-9)
+
+
+# Lags on both sides of the series switch at 16, up to the 10^6 of the
+# long-series embedding.
+_FAR_LAGS = [2, 3, 7, 15, 16, 17, 100, 1234, 10**4, 65537, 10**5, 654321,
+             10**6]
+
+
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.98, 0.99])
+def test_fgn_autocov_matches_exact_arithmetic(h):
+    # The plain second difference cancels about log10(k^2) digits: 1e-3
+    # relative at k = 10^6 and H = 0.55.
+    want = [fgn_cross_cov_reference(k, _params(h, h)) for k in _FAR_LAGS]
+    np.testing.assert_allclose(fgn_autocov(np.array(_FAR_LAGS), h), want,
+                               rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("params", [
+    FbmParams(0.7, 0.8, rho=0.3, eta=0.1),
+    FbmParams(0.55, 0.99, rho=-0.4, eta=0.2),
+    FbmParams(0.6, 0.4, rho=0.3, eta=0.1, sigma1=1.5),    # log branch
+])
+def test_fgn_cross_cov_matches_exact_arithmetic(params):
+    lags = _FAR_LAGS + [-k for k in _FAR_LAGS]
+    want = [fgn_cross_cov_reference(k, params) for k in lags]
+    np.testing.assert_allclose(fgn_cross_cov(np.array(lags), params), want,
+                               rtol=1e-9, atol=0.0)
 
 
 def test_window_block_brownian_grid():

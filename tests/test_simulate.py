@@ -1,12 +1,16 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from dccatest.fbm import FbmParams, fgn_autocov
 from dccatest.fluctuation import fluctuation_analysis, hurst_estimate
 from dccatest.series import make_scales
-from dccatest.simulate import (SimSpec, _bfgn_from_rng, _circulant_root,
-                               _embedding_length, _fgn_filter,
+from dccatest.simulate import (SimSpec, _bfgn_exists, _bfgn_from_rng,
+                               _circulant_root, _embedding_length, _fgn_filter,
                                _fgn_filter_gains, _gen_bfgn_circulant,
                                _gen_bfgn_dense, _highpass, _signed_power_std,
                                add_trend, gen_bfgn, gen_mixture,
@@ -41,6 +45,31 @@ def test_spectral_roots_cached_read_only():
     for block in (*root[1:], gains[1]):
         assert len(block) == half
         assert not block.flags.writeable
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10**6))
+def test_embedding_length_smallest_even_5_smooth(n):
+    length = _embedding_length(n)
+    floor = max(16, 2 * n)
+    assert length >= floor and length % 2 == 0 and _is_5_smooth(length)
+    # Even 5-smooth lengths are twice the 5-smooth numbers.
+    assert not any(_is_5_smooth(m) for m in range(floor // 2, length // 2))
+
+
+def test_circulant_root_at_one_million_lags():
+    # Near H = 1 the spectrum is small at high frequencies; with the
+    # kernel's lost digits at large lags it went negative at N = 10^6.
+    length, b11, b22, b12 = _circulant_root.__wrapped__(
+        10**6, FbmParams(hurst1=0.98, hurst2=0.98))
+    assert length == 2 * 10**6 and len(b11) == 10**6 + 1
 
 
 def test_spec_validation():
@@ -122,6 +151,7 @@ class _UnitDraws:
     (37, FbmParams(hurst1=0.7, hurst2=0.8, rho=0.3, eta=0.05)),
     (64, FbmParams(hurst1=0.6, hurst2=0.9, rho=-0.4, eta=-0.1)),
     (50, FbmParams(hurst1=0.75, hurst2=0.75, rho=0.5)),
+    (45, FbmParams(hurst1=0.65, hurst2=0.85, rho=0.4, eta=0.08)),  # L = 90
 ])
 def test_circulant_embedding_exact_covariance(n, params):
     # The generator is linear in its draws: feeding unit vectors gives
@@ -161,6 +191,22 @@ def test_bfgn_rejects_invalid_combination():
             gen(spec.n_samples, spec.params, replicate_rng(0))
     with pytest.raises(ValueError, match="combination is invalid"):
         gen_bfgn(spec)
+
+
+def test_nonexistent_bfgn_refused_without_dense_attempt():
+    # (0.55, 0.95, rho = 0.6) violates the existence condition: the
+    # circulant refusal stands instead of an O(N^3) Cholesky attempt that
+    # needs 1 GiB at N = 3000.
+    params = FbmParams(hurst1=0.55, hurst2=0.95, rho=0.6)
+    assert not _bfgn_exists(params)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="combination is invalid"):
+        _bfgn_from_rng(3000, params, replicate_rng(0))
+    assert time.perf_counter() - start < 1.0
+    # The boundary of the condition (rho = 1, H = G) and the log branch
+    # are accepted.
+    assert _bfgn_exists(FbmParams(hurst1=0.7, hurst2=0.7, rho=1.0))
+    assert _bfgn_exists(FbmParams(hurst1=0.6, hurst2=0.4, rho=0.9))
 
 
 def test_bfgn_dfa_slope_oracle():
