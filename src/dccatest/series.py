@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 _WRITE_ROWS = 1 << 16
+# Decimal exponents k = floor(log10|v|) of the finite nonzero doubles,
+# and the powers 10^(16 - k) that scale |v| to 17 integer digits.
+_EXP_MIN, _EXP_MAX = -324, 308
 
 
 class InfeasibleScalesError(ValueError):
@@ -138,48 +142,59 @@ def make_scales(n_samples: int, n_min: int, n_max: int, r: int,
     return ScaleSet(scales=tuple(int(n) for n in scales), degree=degree)
 
 
-def _parse_columns(path: str) -> np.ndarray:
-    """Read whitespace/comma/tab separated numeric columns.
+def _fields(line: str) -> list[str]:
+    """A line's fields: the text before any '#', split at commas if it
+    has any, else at whitespace; blank fields are dropped."""
+    line = line.partition("#")[0]
+    if "," in line:
+        return [p for p in line.split(",") if p.strip()]
+    return line.split()
 
-    '#'-prefixed lines are ignored; a single leading non-numeric line is
-    treated as a header and skipped.
+
+def _parse_columns(path: str) -> np.ndarray:
+    """Read comma- or whitespace-separated numeric columns.
+
+    '#' starts a comment and blank lines are ignored; a single
+    non-numeric line before the data is a header and is skipped.  numpy
+    reads the file after the header directly, splitting at commas if the
+    first data line has any; it converts each field as float() does.  A
+    file it rejects (a blank field, a line that splits differently from
+    the first, a bad value) is read by :func:`_parse_lines`, which gives
+    the same array or the error with its line number.
     """
+    header = 0
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln and ln[0] != "#"]
-    if lines:
-        first = lines[0]
-        sep = "," if "," in first else "\t" if "\t" in first else None
-        # numpy's reader converts each field as float() does, and fails
-        # on a header, a blank field or a line that splits differently
-        # from the first.  Then, and for whitespace-separated lines with
-        # tabs (split at the tabs alone below), the file is read line
-        # by line.
-        if sep is not None or not any("\t" in ln for ln in lines):
+        for lineno, line in enumerate(fh, start=1):
+            fields = _fields(line)
+            if not fields:
+                continue
             try:
-                return np.loadtxt(lines, delimiter=sep, comments=None,
-                                  ndmin=2)
+                [float(p) for p in fields]
             except ValueError:
-                pass
+                if header:
+                    break
+                header = lineno
+                continue
+            sep = "," if "," in line.partition("#")[0] else None
+            try:
+                return np.loadtxt(path, delimiter=sep, comments="#",
+                                  skiprows=header, ndmin=2,
+                                  encoding="utf-8")
+            except ValueError:
+                break
     return _parse_lines(path)
 
 
 def _parse_lines(path: str) -> np.ndarray:
-    """Line-by-line reader behind :func:`_parse_columns`: each line is
-    split at commas if it has any, else at tabs if it has any, else at
-    whitespace, and blank fields are dropped."""
+    """Line-by-line reader behind :func:`_parse_columns`, with the same
+    fields per line (:func:`_fields`)."""
     rows = []
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            parts = _fields(line)
+            if not parts:
                 continue
-            for sep in (",", "\t"):
-                if sep in line:
-                    parts = [p for p in line.split(sep) if p.strip()]
-                    break
-            else:
-                parts = line.split()
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
@@ -231,15 +246,119 @@ def load_pair(path_a: str, path_b: str | None = None,
     return SeriesPair.from_increments(y1, y2)
 
 
+@cache
+def _e16_tables():
+    """Tables of :func:`_e16_words`, built on the first write.
+
+    ``pow10`` row q - 16 + _EXP_MAX holds 10^q = (hi + lo) * 2^e with hi
+    given as its two 26-bit halves (Veltkamp split), lo rounded to
+    nearest and 10^q / 2^e in [0.5, 1]; ``digits`` maps 0..9999 to four
+    ASCII digits, ``lead`` a sign and leading digit to "-d." or "d.",
+    and ``exps`` a decimal exponent to "e+dd"/"e-ddd" as two columns of
+    words.
+    """
+    pow10 = []
+    for q in range(16 - _EXP_MAX, 17 - _EXP_MIN):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        e = num.bit_length() - den.bit_length()
+        if e >= 0:
+            den <<= e
+        else:
+            num <<= -e
+        hi = num / den                  # int / int rounds to nearest
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        t = hi * 134217729.0            # 2^27 + 1
+        hi_top = t - (t - hi)
+        pow10.append((hi_top, hi - hi_top, lo, e))
+    words = lambda b: np.frombuffer(b, np.uint32)
+    return (
+        tuple(np.array(col) for col in zip(*pow10)),
+        words(b"".join(b"%04d" % i for i in range(10000))),
+        words(b"".join(s + b"%d.\0" % d for s in (b"\0", b"-")
+                       for d in range(10))),
+        words(b"".join((b"e%+03d" % k).ljust(8, b"\0")
+                       for k in range(_EXP_MIN, _EXP_MAX + 1))
+              ).reshape(-1, 2).T.copy(),
+    )
+
+
+def _e16_words(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.16e' % x`` for each finite x of ``v`` as a (len(v), 7) array
+    of uint32 words whose bytes, NUL padding dropped, are the token; and
+    the mask of the values whose words are proven exact.
+
+    |x| * 10^(16 - k), k = floor(log10|x|), is formed as an exact
+    double-double product (Dekker) of the frexp mantissa and the
+    tabulated power, its error below 1e-13 of a unit, and rounded to the
+    17-digit integer.  A value is not proven when its fraction lies
+    within 1e-6 of a half unit (a tie or near tie: the product would
+    need rounding half to even, or more precision) or the product does
+    not have 17 integer digits (log10 misjudged k, as it does at and
+    just below some powers of ten).
+    """
+    (hi_top, hi_bot, lo, e), digits, lead, exps = _e16_tables()
+    a = np.abs(v)
+    k = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.intp)
+    row = _EXP_MAX - k
+    hi_top, hi_bot, lo, e = (col[row] for col in (hi_top, hi_bot, lo, e))
+    m, m_exp = np.frexp(a)
+    t = m * 134217729.0
+    m_top = t - (t - m)
+    m_bot = m - m_top
+    p = m * (hi_top + hi_bot)
+    err = ((m_top * hi_top - p) + m_top * hi_bot + m_bot * hi_top) \
+        + m_bot * hi_bot
+    scale = m_exp + e
+    rest = np.ldexp(err + m * lo, scale)
+    whole = np.floor(rest)
+    frac = rest - whole
+    d = np.ldexp(p, scale).astype(np.int64) + whole.astype(np.int64)
+    # The 17 digits need floor(product) >= 10^16: a misjudged k can
+    # round 9999999999999999.5.. up to 10^16.
+    exact = d >= 10 ** 16
+    d += frac > 0.5
+    exact &= (d < 10 ** 17) & (np.abs(frac - 0.5) >= 1e-6)
+    exact |= a == 0
+    d *= exact                  # unproven rows: in-range indices below
+    first = d // 10 ** 16
+    d -= first * 10 ** 16
+    top = d // 10 ** 8
+    bot = d - top * 10 ** 8
+    out = np.empty((len(v), 7), np.uint32)
+    out[:, 0] = lead[first + 10 * np.signbit(v)]
+    out[:, 1] = digits[top // 10 ** 4]
+    out[:, 2] = digits[top % 10 ** 4]
+    out[:, 3] = digits[bot // 10 ** 4]
+    out[:, 4] = digits[bot % 10 ** 4]
+    k -= _EXP_MIN
+    out[:, 5] = exps[0][k]
+    out[:, 6] = exps[1][k]
+    return out, exact
+
+
 def write_pair(path: str, pair: SeriesPair, comment: str | None = None):
-    """Write increments as two-column CSV readable by :func:`load_pair`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write increments as two-column CSV readable by :func:`load_pair`.
+
+    Each value is written as ``'%.16e' % v``: 17 significant digits, which
+    give back every finite double bit for bit.  Rows are formatted in
+    numpy, a block of ``_WRITE_ROWS`` at a time (:func:`_e16_words`);
+    the few values it cannot prove exact are formatted by Python.
+    """
+    sep = np.frombuffer(b"\0,\0\0\0\n\0\0", np.uint32)
+    with open(path, "wb") as fh:
         if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        # Rows go out in blocks, so at most _WRITE_ROWS pairs of Python
-        # floats are alive at once; repr gives the shortest round trip.
+            fh.write("".join(f"# {line}\n" for line in
+                             comment.splitlines()).encode("utf-8"))
         for i in range(0, pair.n_samples, _WRITE_ROWS):
             block = slice(i, i + _WRITE_ROWS)
-            fh.writelines(map("{!r},{!r}\n".format, pair.y1[block].tolist(),
-                              pair.y2[block].tolist()))
+            values = np.stack((pair.y1[block], pair.y2[block]),
+                              axis=1).ravel()
+            words, exact = _e16_words(values)
+            for j in np.flatnonzero(~exact):
+                words[j] = np.frombuffer(
+                    (b"%.16e" % values[j]).ljust(28, b"\0"), np.uint32)
+            # Word 6 ends each token: a third exponent digit or NUL,
+            # then ',' or '\n'.
+            words.reshape(-1, 2, 7)[:, :, 6] |= sep
+            fh.write(words.tobytes().translate(None, b"\0"))

@@ -142,44 +142,63 @@ def _embed(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return np.concatenate([pos, neg[-2:0:-1]])
 
 
+def _auto_spectrum(length: int, hurst: float,
+                   sigma: float = 1.0) -> np.ndarray:
+    """Spectrum of the length-L circulant embedding of the fGn
+    autocovariance on its L/2 + 1 non-negative frequencies (real: the
+    row is symmetric)."""
+    # One name for every stage, so that each frees the one before.
+    x = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst, sigma))
+    x = _embed(x, x)
+    x = np.fft.rfft(x)
+    return x.real.copy()
+
+
 @lru_cache(maxsize=4)
 def _circulant_root(n: int, params: FbmParams):
     """Embedding length and the per-frequency 2x2 square root (b11, b22,
     b12) of the circulant embedding's spectral blocks on the L/2 + 1
     non-negative frequencies, after checking that every block is
     positive semidefinite.  Cached per (n, params) and read-only, since
-    every replicate of a study shares them."""
+    every replicate of a study shares them.  Covariance sequences,
+    circulant rows and spectra are dropped as soon as they are used and
+    the root is formed in place: each is 8-16 MB at N = 10^6."""
     length = _embedding_length(n)
-    g11, g22, g12_pos, g12_neg = _increment_cov_sequences(length // 2 + 1,
-                                                          params)
-    lam11 = np.fft.rfft(_embed(g11, g11)).real
-    lam22 = np.fft.rfft(_embed(g22, g22)).real
+    lam11 = _auto_spectrum(length, params.hurst1, params.sigma1)
+    lam22 = _auto_spectrum(length, params.hurst2, params.sigma2)
     # Cross block oriented so that E[eps1(t) eps2(t+k)] = gamma12(k).
-    lam12 = np.fft.rfft(_embed(g12_neg, g12_pos))
+    lags = np.arange(length // 2 + 1)
+    lam12 = np.fft.rfft(_embed(np.asarray(fgn_cross_cov(-lags, params)),
+                               np.asarray(fgn_cross_cov(lags, params))))
+    del lags
     # The L/2 + 1 bins cover all L: lam11 and lam22 are symmetric and
     # lam12 at L - k is conj(lam12 at k), so the block at L - k is the
     # conjugate of the block at k, with the same eigenvalues.
     scale = max(lam11.max(), lam22.max())
     if lam11.min() < -_EMBED_TOL * scale or lam22.min() < -_EMBED_TOL * scale:
         raise ValueError("circulant embedding has negative auto spectrum")
-    lam11 = np.clip(lam11, 0.0, None)
-    lam22 = np.clip(lam22, 0.0, None)
-    det = lam11 * lam22 - np.abs(lam12) ** 2
+    np.clip(lam11, 0.0, None, out=lam11)
+    np.clip(lam22, 0.0, None, out=lam22)
+    det = lam11 * lam22
+    det -= np.abs(lam12) ** 2
     if det.min() < -_EMBED_TOL * scale ** 2:
         raise ValueError(
-            "circulant embedding is not positive semidefinite; the "
-            "(rho, eta, H, G) combination is invalid"
+            f"circulant embedding of length {length} is not positive "
+            "semidefinite"
         )
-    det = np.clip(det, 0.0, None)
+    np.clip(det, 0.0, None, out=det)
 
     # sqrt(M) = (M + sqrt(det) I) / sqrt(trace + 2 sqrt(det)) for 2x2 PSD.
-    sq_det = np.sqrt(det)
-    denom = np.sqrt(np.clip(lam11 + lam22 + 2.0 * sq_det, 1e-300, None))
-    root = ((lam11 + sq_det) / denom, (lam22 + sq_det) / denom,
-            lam12 / denom)
-    for block in root:
+    sq_det = np.sqrt(det, out=det)
+    denom = lam11 + lam22
+    denom += 2.0 * sq_det
+    np.sqrt(np.clip(denom, 1e-300, None, out=denom), out=denom)
+    for block in (lam11, lam22):
+        block += sq_det
+    for block in (lam11, lam22, lam12):
+        block /= denom
         block.setflags(write=False)
-    return length, *root
+    return length, lam11, lam22, lam12
 
 
 def _gen_bfgn_circulant(n: int, params: FbmParams,
@@ -194,13 +213,19 @@ def _gen_bfgn_circulant(n: int, params: FbmParams,
     z = rng.standard_normal((2, length))
     xi = z[:, :half + 1].astype(complex)
     xi.imag[:, 1:half] = z[:, half + 1:]
+    del z
     xi[:, 1:half] *= math.sqrt(0.5)
     xi1, xi2 = xi
-    w1 = b11 * xi1 + b12 * xi2
-    w2 = np.conj(b12) * xi1 + b22 * xi2
+    # Mixed in place and freed as soon as used (16-32 MB at N = 10^6).
+    w1 = b11 * xi1
+    w1 += b12 * xi2
+    w2 = np.conj(b12) * xi1
+    w2 += b22 * xi2
+    del xi, xi1, xi2
     # The Hermitian extension of w makes the inverse transform real;
     # norm="ortho" is sqrt(L) * irfft.
     y1 = np.fft.irfft(w1, length, norm="ortho")
+    del w1
     y2 = np.fft.irfft(w2, length, norm="ortho")
     return y1[:n], y2[:n]
 
@@ -235,12 +260,20 @@ def _bfgn_from_rng(n: int, params: FbmParams,
                    rng: np.random.Generator) -> SeriesPair:
     """Circulant embedding, or the dense Cholesky factor up to
     ``DENSE_N_CAP`` samples where the minimal embedding is not PSD but
-    the process exists."""
+    the process exists.  A refusal says which of the two holds: the
+    process does not exist, or it does and N is above the cap."""
     try:
         y1, y2 = _gen_bfgn_circulant(n, params, rng)
-    except ValueError:
-        if n > DENSE_N_CAP or not _bfgn_exists(params):
-            raise
+    except ValueError as exc:
+        if not _bfgn_exists(params):
+            raise ValueError(
+                f"{exc}; the (rho, eta, H, G) combination is invalid"
+            ) from None
+        if n > DENSE_N_CAP:
+            raise ValueError(
+                f"the (rho, eta, H, G) process exists, but its {exc}, and "
+                f"the dense factor is capped at N={DENSE_N_CAP}"
+            ) from None
         y1, y2 = _gen_bfgn_dense(n, params, rng)
     return SeriesPair.from_increments(y1, y2)
 
@@ -260,9 +293,7 @@ def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:
     its L/2 + 1 non-negative frequencies (the spectrum is symmetric);
     cached and read-only like ``_circulant_root``."""
     length = _embedding_length(n)
-    g = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst))
-    lam = np.fft.rfft(_embed(g, g)).real
-    gain = np.sqrt(np.clip(lam, 0.0, None))
+    gain = np.sqrt(np.clip(_auto_spectrum(length, hurst), 0.0, None))
     gain.setflags(write=False)
     return length, gain
 

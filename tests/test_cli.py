@@ -47,6 +47,28 @@ def test_simulate_rejects_bad_rho(tmp_path):
     assert code == 2
 
 
+def test_simulate_refusal_names_embedding_not_process(tmp_path, capsys):
+    """Above DENSE_N_CAP an existing process whose minimal circulant
+    embedding is not PSD is refused as such, not called invalid; one
+    that does not exist is still called invalid."""
+    out = str(tmp_path / "x.csv")
+    code = main(["simulate", "--kind", "bfgn", "--N", "10000",
+                 "--H", "0.857", "--G", "0.911", "--rho", "0.249",
+                 "--eta", "0.315", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "process exists" in err
+    assert "embedding of length 20000 is not positive semidefinite" in err
+    assert "capped at N=4096" in err
+    assert "invalid" not in err
+    assert not os.path.exists(out)
+    code = main(["simulate", "--kind", "bfgn", "--N", "10000",
+                 "--H", "0.55", "--G", "0.95", "--rho", "0.6", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "combination is invalid" in err and "exists" not in err
+
+
 def test_analyze_identical_series_rejects(tmp_path, table_file, capsys):
     data = _simulate(tmp_path)
     out = str(tmp_path / "report.json")

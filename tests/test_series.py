@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,17 @@ def test_load_pair_errors(tmp_path):
     "1,2\noops\n",
     "# only a comment\n",
     "",
+    "1,2 # c\n3,4\n",
+    "1 2 # c\n3 4\n",
+    "1,2\n   # indented\n3,4\n",
+    "1 2\n\t# indented\n3 4\n",
+    "1,2\r\n3,4\r\n",
+    "1\t2\r\n3\t4\r\n",
+    "x,y\n# c\n\n# d\n1,2\n3,4\n",
+    "# c\nx y\n# d\n1 2\n",
+    "x,y\nu,v\n1,2\n",
+    "x,y\n# c\n",
+    ",,\n1,2\n",
 ])
 def test_parse_columns_matches_line_reader(tmp_path, text):
     """The numpy fast path and the line-by-line reader agree on every
@@ -223,16 +237,70 @@ def test_write_pair_round_trip(tmp_path, rng):
     assert np.array_equal(loaded.y2, pair.y2)
 
 
-def test_write_pair_bytes_match_per_element_repr(tmp_path, monkeypatch):
-    # Same bytes as writing repr(float(v)) row by row, on values whose
-    # repr is easy to get wrong: signed zero, subnormals, large, inexact;
-    # blocks of 4 rows put a block boundary inside the 6 rows.
+def _e16_file(y1, y2, comment):
+    head = "".join(f"# {line}\n" for line in comment.splitlines())
+    return (head + "".join("%.16e,%.16e\n" % (a, b)
+                           for a, b in zip(y1.tolist(), y2.tolist()))
+            ).encode("utf-8")
+
+
+# Signed zeros, the smallest subnormal and normal, extremes, an exact
+# integer, a value with a long binary expansion, exact ties at the 17th
+# digit (1000000000000000.25 and 3 * 2^-24) and the largest doubles below
+# powers of ten: those are the nearest to rounding up to the next power,
+# which no finite double does at 17 digits (their spacing exceeds 1e-17
+# relative).
+_E16_FIXED = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+              1e308, 1.7976931348623157e308, 1e16, 0.1, -2.5,
+              1000000000000000.25, 3 * 2.0 ** -24,
+              float(np.nextafter(1e5, 0)), float(np.nextafter(1e-5, 0)),
+              float(np.nextafter(1e23, 0)), 1e-308, 1e-311, 1e-6]
+
+
+def test_write_pair_rows_match_percent_e16(tmp_path, monkeypatch):
+    """Every row is '%.16e,%.16e' of its pair; blocks of 4 rows put a
+    block boundary inside the file."""
     monkeypatch.setattr(series, "_WRITE_ROWS", 4)
-    y1 = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1, -2.5])
-    y2 = np.array([0.1, 1e16, -0.0, 5e-324, 1e-300, 3.0])
+    y1 = np.array(_E16_FIXED)
+    y2 = -y1[::-1]
     path = tmp_path / "out.csv"
     write_pair(str(path), SeriesPair.from_increments(y1, y2),
                comment="two\nlines")
-    expected = "# two\n# lines\n" + "".join(
-        f"{float(a)!r},{float(b)!r}\n" for a, b in zip(y1, y2))
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_bytes() == _e16_file(y1, y2, "two\nlines")
+    loaded = load_pair(str(path))
+    assert loaded.y1.tobytes() == y1.tobytes()
+    assert loaded.y2.tobytes() == y2.tobytes()
+
+
+@pytest.mark.parametrize("value", [
+    1000000000000000.25,        # residual exactly a half unit
+    3 * 2.0 ** -24,             # the same, ties to even downward
+    1e-308,                     # log10 gives -308, the double is 9.99..e-309
+    1e-311,                     # the same for a subnormal
+    1e-6,                       # the same, 9999999999999999.55 rounds to 10^16
+])
+def test_e16_words_leaves_unproven_values_to_python(value):
+    """Each branch that hands a value to Python's '%.16e' is reached;
+    the file test above holds these values too."""
+    _, exact = series._e16_words(np.array([value, -value, 1.5]))
+    assert exact.tolist() == [False, False, True]
+
+
+def _raw_double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(0, 2 ** 64 - 1).map(_raw_double)
+                .filter(math.isfinite), min_size=4, max_size=12))
+def test_write_pair_token_is_percent_e16_and_round_trips(tmp_path_factory,
+                                                         values):
+    values = np.array(values[:len(values) // 2 * 2])
+    y1, y2 = values[0::2], values[1::2]
+    path = tmp_path_factory.mktemp("e16") / "out.csv"
+    write_pair(str(path), SeriesPair.from_increments(y1, y2))
+    tokens = path.read_text().replace("\n", ",").split(",")[:-1]
+    assert tokens == ["%.16e" % v for v in values.tolist()]
+    back = np.array([float(t) for t in tokens])
+    assert back.tobytes() == values.tobytes()

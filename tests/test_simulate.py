@@ -184,11 +184,15 @@ def test_nongaussian_filter_matches_complex_fft_form(rng):
 
 def test_bfgn_rejects_invalid_combination():
     # rho = 1 with distinct Hurst exponents is not a valid bivariate fBm:
-    # both generators refuse it, so the fallback does too.
+    # both generators refuse it, so the fallback does too.  The circulant
+    # generator states only what it found; the verdict on the process is
+    # the caller's.
     spec = _spec(h=0.55, g=0.95, rho=1.0, n=256)
-    for gen in (_gen_bfgn_circulant, _gen_bfgn_dense):
-        with pytest.raises(ValueError, match="combination is invalid"):
-            gen(spec.n_samples, spec.params, replicate_rng(0))
+    with pytest.raises(ValueError, match="embedding of length 512 is not "
+                                         "positive semidefinite$"):
+        _gen_bfgn_circulant(spec.n_samples, spec.params, replicate_rng(0))
+    with pytest.raises(ValueError, match="combination is invalid"):
+        _gen_bfgn_dense(spec.n_samples, spec.params, replicate_rng(0))
     with pytest.raises(ValueError, match="combination is invalid"):
         gen_bfgn(spec)
 
