@@ -13,16 +13,18 @@ and the auto-statistic covariance carries an extra factor 2.  Because
 the residual projector annihilates constants, only the lag term
 -|a - b|^{2H} / 2 of the fBm kernel survives in either trace: both
 moments are computed from lag powers alone, at any integer displacement
-of the windows, including negative ones.  Without the rank-one parts
-nothing cancels, and the cross kernel stays within about
-1e-9 |c(0)| of exact arithmetic out to 16 windows.
+of the windows, including negative ones.
 
-Asymptotics per scale n are displacement sums: the variance limit of
-sqrt([N/n]) F2_cross(n) is the sum of covariances over window offsets j,
-truncated once the j^{2H+2G-4(d+1)} tail bound falls below a configured
-fraction of the accumulated sum.  Correlations between scales n and m
-sum displacements over the gcd(n, m) lattice that the two window grids
-realise.
+Asymptotics per scale are sums of the window-pair covariance c(delta)
+over the displacements delta in g Z, g = gcd(n, m), that the two window
+grids realise (g = n for the variance limit of one scale).  Each sum is
+split at |delta| = 2 max(n, m).  Inside, c(delta) is evaluated directly
+with both lag blocks projected.  Beyond, |a - b - delta|^{2H} is a
+binomial series in (a - b) / delta that converges at least like 2^{-k};
+the projectors remove its orders below 2d + 2, and the remaining orders
+sum over the lattice in closed form through Hurwitz zeta values, with
+Hurst-free Gram matrices of the projected lag powers.  Nothing is
+truncated but the series, whose omitted orders carry a computed bound.
 
 An offline :class:`CovTable` stores, on a Hurst grid, the scale-free
 variance limit, cross-scale correlations at tabulated scale ratios, and
@@ -40,21 +42,43 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fluctuation import poly_basis
 
 DEFAULT_GRID = tuple(np.round(np.arange(0.50, 0.9801, 0.02), 10))
 DEFAULT_N_TAB = 512
 DEFAULT_RATIOS = tuple(np.round(np.arange(0.01, 1.0001, 0.01), 10))
-DEFAULT_TAIL_TOL = 1e-3
-OFFSET_CAP = 10_000
 
 _PSD_RTOL = 1e-8
+# Highest binomial order kept in each lag block of the far-zone series,
+# and the largest admissible bound on the omitted orders, relative to
+# the whole lattice sum.
+_SERIES_ORDER = 80
+_SERIES_RTOL = 1e-10
+# Elements of one (offsets or orders, rows, columns) block; about three
+# blocks of this size are live at once.
+_BLOCK_ELEMENTS = 1 << 17
+# Bernoulli numbers B_2, B_4, ..., B_12 for Euler-Maclaurin.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
 # ---------------------------------------------------------------------------
 # Exact trace moments
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _basis_lag_sums(n: int, degree: int) -> np.ndarray:
+    """c_l = sum_a P_{a,a+l} for l = 1..n-1: the summed lag-l
+    autocorrelation of the fit basis columns, from one real FFT."""
+    # Padding to at least 2n - 1 keeps the circular lags 1..n-1 exact.
+    size = 1 << (2 * n - 2).bit_length()
+    spec = np.fft.rfft(poly_basis(n, degree), size, axis=0)
+    power = (spec.real ** 2 + spec.imag ** 2).sum(axis=1)
+    sums = np.fft.irfft(power, size)[1:n]
+    sums.flags.writeable = False
+    return sums
+
 
 @lru_cache(maxsize=4096)
 def fluct_mean_exact(n: int, hurst: float, degree: int) -> float:
@@ -64,20 +88,14 @@ def fluct_mean_exact(n: int, hurst: float, degree: int) -> float:
     The residual projector annihilates constants, so of
     Sigma_ab = (a^{2H} + b^{2H} - |a-b|^{2H}) / 2 only the lag term
     survives: trace((I - P) Sigma) = sum_{l=1}^{n-1} l^{2H} c_l, where
-    c_l = sum_a P_{a,a+l} is the summed lag-l autocorrelation of the
-    fit basis columns, taken with one real FFT.
+    the lag sums c_l of the fit basis are shared by every Hurst value.
     """
     if n < degree + 2:
         raise ValueError(f"scale {n} too small for degree {degree}")
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst exponent must lie in (0, 1)")
-    # Padding to at least 2n - 1 keeps the circular lags 1..n-1 exact.
-    size = 1 << (2 * n - 2).bit_length()
-    spec = np.fft.rfft(poly_basis(n, degree), size, axis=0)
-    power = (spec.real ** 2 + spec.imag ** 2).sum(axis=1)
-    lag_sums = np.fft.irfft(power, size)[1:n]
     lags = np.arange(1, n, dtype=float)
-    return float(lag_sums @ lags ** (2.0 * hurst)) / n
+    return float(_basis_lag_sums(n, degree) @ lags ** (2.0 * hurst)) / n
 
 
 def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
@@ -88,29 +106,37 @@ def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
     Pure cross-statistic covariance under the null (no factor 2); the
     offsets are sample displacements and may be negative.  Q_n and Q_m
     annihilate the rank-one parts of A_H and A_G, so the trace reduces
-    to trace(Q_n T_H Q_m T_G^T) / (4 n m) with the lag blocks
-    T[a, b] = |a - b - offset|^{2H}.  T_H is projected on both sides
-    with the thin fit bases and contracted once against T_G.
+    to <Q_n T_H Q_m, Q_n T_G Q_m> / (4 n m) with the lag blocks
+    T[a, b] = |a - b - offset|^{2H}.  Both blocks are projected with the
+    thin fit bases before the contraction: against an unprojected T_G,
+    whose entries exceed the projected ones by orders of magnitude for
+    short windows, the contraction cancels digits.
     """
     offsets = np.asarray(offsets, dtype=int)
     basis_n = poly_basis(n, degree)
     basis_m = poly_basis(m, degree)
-    lags = np.arange(n)[:, None] - np.arange(m)[None, :]
-    lag_max = max(n - 1 - int(offsets.min()), m - 1 + int(offsets.max()))
-    steps = np.arange(lag_max + 1, dtype=float)
-    pow_h = steps ** (2.0 * hurst1)
-    pow_g = steps ** (2.0 * hurst2)
+    top = int(offsets.max())
+    lags = np.abs(np.arange(1 - m - top, n - int(offsets.min()),
+                            dtype=float))
+    # Row i of a window holds |i - top - b|^{2H} at column b, so block k
+    # is rows a + top - offsets[k], a = 0..n-1, of it.
+    windows = {h: sliding_window_view(lags ** (2.0 * h), m)[:, ::-1]
+               for h in {hurst1, hurst2}}
+    rows = np.arange(n) + (top - offsets)[:, None]
+
+    def projected(hurst: float, part: np.ndarray) -> np.ndarray:
+        block = windows[hurst][part]
+        block -= basis_n @ (basis_n.T @ block)
+        block -= (block @ basis_m) @ basis_m.T
+        return block
 
     out = np.empty(len(offsets))
-    chunk = max(1, int(4e6 // (n * m)))
+    chunk = max(1, _BLOCK_ELEMENTS // (n * m))
     for start in range(0, len(offsets), chunk):
-        offs = offsets[start:start + chunk]
-        dist = np.abs(lags[None, :, :] - offs[:, None, None])
-        proj = pow_h[dist]
-        proj -= basis_n @ (basis_n.T @ proj)
-        proj -= (proj @ basis_m) @ basis_m.T
-        out[start:start + chunk] = np.einsum("kab,kab->k", proj,
-                                             pow_g[dist])
+        part = rows[start:start + chunk]
+        proj_h = projected(hurst1, part)
+        proj_g = proj_h if hurst2 == hurst1 else projected(hurst2, part)
+        out[start:start + chunk] = np.einsum("kab,kab->k", proj_h, proj_g)
     return out / (4.0 * n * m)
 
 
@@ -118,8 +144,9 @@ def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
 # Asymptotic displacement sums
 # ---------------------------------------------------------------------------
 
-def _tail_exponent(hurst1: float, hurst2: float, degree: int) -> float:
-    """Exponent alpha of the window-pair covariance decay j^alpha."""
+def _check_convergence(hurst1: float, hurst2: float, degree: int):
+    """Refuse offset sums whose window-pair covariances decay like
+    j^alpha, alpha = 2H + 2G - 4(d+1), with alpha >= -1: they diverge."""
     alpha = 2.0 * hurst1 + 2.0 * hurst2 - 4.0 * (degree + 1)
     if alpha >= -1.0:
         raise ValueError(
@@ -127,58 +154,155 @@ def _tail_exponent(hurst1: float, hurst2: float, degree: int) -> float:
             f"degree {degree}: covariances decay like j^{alpha:g}; "
             "use a higher degree"
         )
-    return alpha
 
 
-def f2_variance_limit(n: int, hurst1: float, hurst2: float, degree: int,
-                      tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[float, int]:
+def _hurwitz_scaled(sigma: np.ndarray, first: int) -> np.ndarray:
+    """sum_{j >= first} (first / j)^sigma, i.e. first^sigma times the
+    Hurwitz zeta value zeta(sigma, first), for each sigma > 1.
+
+    The first 32 terms are summed directly and the rest by
+    Euler-Maclaurin from a = first + 32 with six Bernoulli corrections.
+    The remainder is below |B_14| / 14! sigma^(13) a^{-13} (first/a)^sigma
+    (rising factorial), under 1e-16 of the sum for every sigma the far
+    series asks for.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    a = float(first + 32)
+    direct = ((first / np.arange(first, a)) ** sigma[:, None]).sum(axis=1)
+    edge = (first / a) ** sigma
+    tail = a * edge / (sigma - 1.0) + edge / 2.0
+    rising, factorial = sigma.copy(), 2.0
+    for k, bernoulli in enumerate(_BERNOULLI, start=1):
+        tail += bernoulli / factorial * rising * edge / a ** (2 * k - 1)
+        rising *= (sigma + 2 * k - 1) * (sigma + 2 * k)
+        factorial *= (2 * k + 1) * (2 * k + 2)
+    return direct + tail
+
+
+def _binomial_coefs(alpha: float, count: int) -> np.ndarray:
+    """C(alpha, k) for k = 0..count-1."""
+    k = np.arange(count - 1)
+    return np.concatenate([[1.0], np.cumprod((alpha - k) / (k + 1))])
+
+
+@lru_cache(maxsize=128)
+def _binomial_gram(n: int, m: int, degree: int) -> np.ndarray:
+    """M[k, l] = <Q_n Y_k Q_m, Q_n Y_l Q_m> with Y_k[a, b] = ((a - b)/s)^k,
+    s = max(n, m), for the orders 2d+2 <= k, l <= ``_SERIES_ORDER``.
+
+    No Hurst exponent enters.  The projected powers are formed in row
+    blocks: Q_m acts within a row, and Q_n needs only the (d+1) x m
+    moments basis_n^T Y_k Q_m, accumulated in a first pass.
+    """
+    orders = np.arange(2 * degree + 2, _SERIES_ORDER + 1)
+    basis_n = poly_basis(n, degree)
+    basis_m = poly_basis(m, degree)
+    step = max(1, _BLOCK_ELEMENTS // (len(orders) * m))
+    starts = range(0, n, step)
+
+    def rows_projected_in_b(start: int) -> np.ndarray:
+        """Rows a of Y_k Q_m from ``start`` on, laid out (k, a, b)."""
+        ratio = (np.arange(start, min(start + step, n))[:, None]
+                 - np.arange(m)) / max(n, m)
+        powers = np.repeat(ratio[None], len(orders), axis=0)
+        powers[0] **= orders[0]
+        np.cumprod(powers, axis=0, out=powers)
+        flat = powers.reshape(-1, m)
+        flat -= (flat @ basis_m) @ basis_m.T
+        return powers
+
+    moments = sum(basis_n[start:start + step].T @ rows_projected_in_b(start)
+                  for start in starts)
+    gram = np.zeros((len(orders), len(orders)))
+    for start in starts:
+        block = rows_projected_in_b(start)
+        block -= basis_n[start:start + step] @ moments
+        flat = block.reshape(len(orders), -1)
+        gram += flat @ flat.T
+    gram.flags.writeable = False
+    return gram
+
+
+def _far_sum(n: int, m: int, step: int, first: int, hurst1: float,
+             hurst2: float, degree: int) -> tuple[float, float]:
+    """sum_{j >= first} c(j step) + c(-j step) as a binomial series, and
+    a bound on the orders it omits; needs first * step >= 2 max(n, m).
+
+    With D = j step, s = max(n, m) and x = a - b, |x| < s <= D / 2, so
+    |x -+ D|^{2H} = D^{2H} sum_k C(2H, k) (-+x / D)^k converges at least
+    like 2^{-k}.  Q_n and Q_m remove every order below 2d + 2, odd
+    orders of k + l cancel between D and -D, and the lattice sum of
+    D^{2H+2G-k-l} is a Hurwitz zeta value:
+
+        far = 2 / (4 n m) sum_{k+l even} C(2H, k) C(2G, l) M_kl
+              (s / g)^{k+l} g^{2H+2G} zeta(k + l - 2H - 2G, first)
+
+    with g = ``step`` and M the Gram matrix of :func:`_binomial_gram`.
+    Orders k, l <= K = ``_SERIES_ORDER`` are kept.  Since |C(2H, k)| <= 1
+    for k >= 2, |M_kl| <= nu_k nu_l with nu_k = sqrt(M_kk) <= sqrt(n m),
+    and rho = s / D <= 1/2, the omitted orders add at most
+
+        2 / sqrt(n m) (g first)^{2H+2G} [sum_{l <= K} nu_l rho^{K+1+l}
+            zeta~(K+1+l) + 2 sqrt(n m) rho^{2K+2} zeta~(2K+2)]
+
+    with rho = s / (g first) and zeta~(q) = sum_{j >= first}
+    (first / j)^{q - 2H - 2G}.
+    """
+    size = max(n, m)
+    if first * step < 2 * size:
+        raise ValueError("far series needs offsets of at least 2 max(n, m)")
+    gram = _binomial_gram(n, m, degree)
+    low, top = 2 * degree + 2, _SERIES_ORDER
+    exponent = 2.0 * hurst1 + 2.0 * hurst2
+    # rho^p zeta~(p) for the total orders p = 2 low .. 2 top + 2.
+    totals = np.arange(2 * low, 2 * top + 3)
+    weights = (size / (step * first)) ** totals \
+        * _hurwitz_scaled(totals - exponent, first)
+    orders = np.arange(low, top + 1)
+    coefs = (_binomial_coefs(2.0 * hurst1, top + 1)[low:, None]
+             * _binomial_coefs(2.0 * hurst2, top + 1)[low:] * gram)
+    by_total = np.bincount((orders[:, None] + orders).ravel() - 2 * low,
+                           weights=coefs.ravel())
+    scale = (step * first) ** exponent
+    far = scale * float(by_total[::2] @ weights[:len(by_total):2]) \
+        / (2.0 * n * m)
+    root = math.sqrt(n * m)
+    inner = np.sqrt(np.diag(gram)) @ weights[top + 1 - low:-1] \
+        + 2.0 * root * weights[-1]
+    return far, 2.0 / root * scale * float(inner)
+
+
+def _lattice_sum(n: int, m: int, hurst1: float, hurst2: float,
+                 degree: int) -> tuple[float, int]:
+    """sum_{delta in g Z} c(delta), g = gcd(n, m), and the number of
+    lattice steps summed directly on either side of delta = 0."""
+    _check_convergence(hurst1, hurst2, degree)
+    step = math.gcd(n, m)
+    first = 2 * max(n, m) // step
+    near = _cross_cov_disp_batch(n, m, step * np.arange(1 - first, first),
+                                 hurst1, hurst2, degree)
+    far, bound = _far_sum(n, m, step, first, hurst1, hurst2, degree)
+    total = float(near.sum()) + far
+    if bound > _SERIES_RTOL * abs(total):
+        raise RuntimeError(
+            f"far-zone series bound {bound:.3e} exceeds {_SERIES_RTOL:g} "
+            f"of the offset sum {total:.6e} at scales ({n}, {m})"
+        )
+    return total, first - 1
+
+
+def f2_variance_limit(n: int, hurst1: float, hurst2: float,
+                      degree: int) -> tuple[float, int]:
     """Limit of [N/n] var(F2_cross(n)) as a window-offset sum.
 
-    Returns (sum, j_max) where offsets -j_max..j_max were included;
-    truncation stops once the measured j^{2H+2G-4(d+1)} tail bound
-    drops below ``tail_tol`` of the accumulated sum.
+    Returns (sum, j) where offsets -j..j windows were summed directly
+    and the rest by the far-zone series of :func:`_far_sum`.
     """
-    alpha = _tail_exponent(hurst1, hurst2, degree)
-    total = float(_cross_cov_disp_batch(n, n, np.array([0]), hurst1, hurst2,
-                                        degree)[0])
-    j = 0
-    block = 16
-    prev_mag = np.inf
-    while True:
-        offs = np.arange(j + 1, j + block + 1)
-        vals = _cross_cov_disp_batch(n, n, offs * n, hurst1, hurst2, degree)
-        block_sum = float(vals.sum())
-        total += 2.0 * block_sum
-        j += block
-        tail = 2.0 * abs(float(vals[-1])) * j / (-alpha - 1.0)
-        if tail < tail_tol * abs(total):
-            return total, j
-        # Rising magnitudes mean the blocks reached the kernel's
-        # round-off floor (about 1e-9 |c(0)|); the physical tail is
-        # negligible there.
-        if j > 2 * block and abs(block_sum) >= prev_mag:
-            return total, j
-        prev_mag = abs(block_sum)
-        if j >= OFFSET_CAP:
-            raise RuntimeError(
-                f"offset sum did not converge within {OFFSET_CAP} windows"
-            )
-
-
-def _lattice_shell(k: int, width: int, g: int) -> np.ndarray:
-    """Displacements on the gcd lattice with |delta| in [k*width, (k+1)*width)."""
-    lo = k * width
-    hi = (k + 1) * width
-    first = g * math.ceil(max(lo, 1) / g)
-    pos = np.arange(first, hi, g)
-    if k == 0:
-        return np.concatenate([[0], pos, -pos])
-    return np.concatenate([pos, -pos])
+    return _lattice_sum(n, n, hurst1, hurst2, degree)
 
 
 def f2_cross_scale_corr(n: int, m: int, hurst1: float, hurst2: float,
-                        degree: int, var_n: float, var_m: float,
-                        tail_tol: float = DEFAULT_TAIL_TOL) -> float:
+                        degree: int, var_n: float, var_m: float) -> float:
     """Asymptotic correlation between F2_cross(n) and F2_cross(m), n != m.
 
     corr = (g / sqrt(n m)) sum_{delta in g Z} c(delta) / sqrt(V_n V_m)
@@ -186,40 +310,13 @@ def f2_cross_scale_corr(n: int, m: int, hurst1: float, hurst2: float,
     displacement delta, and V_n = ``var_n``, V_m = ``var_m`` the
     single-scale variance limits of :func:`f2_variance_limit`.
     """
-    g = math.gcd(n, m)
-    width = max(n, m)
-    alpha = _tail_exponent(hurst1, hurst2, degree)
-    total = 0.0
-    k = 0
-    prev_mag = np.inf
-    while True:
-        shell = _lattice_shell(k, width, g)
-        vals = _cross_cov_disp_batch(n, m, shell, hurst1, hurst2, degree)
-        shell_sum = float(vals.sum())
-        total += shell_sum
-        if k >= 2:
-            tail = abs(shell_sum) * k / (-alpha - 1.0)
-            if tail < tail_tol * abs(total):
-                break
-            # Rising shell magnitudes mark the kernel's round-off floor
-            # (about 1e-9 |c(0)|); the physical tail decayed into it and
-            # further shells only accumulate round-off.
-            if k >= 3 and abs(shell_sum) >= prev_mag:
-                break
-        prev_mag = abs(shell_sum)
-        k += 1
-        if k * width > OFFSET_CAP * max(g, 1):
-            raise RuntimeError(
-                "cross-scale displacement sum did not converge"
-            )
-    corr = g / math.sqrt(n * m) * total / math.sqrt(var_n * var_m)
+    total, _ = _lattice_sum(n, m, hurst1, hurst2, degree)
+    corr = math.gcd(n, m) / math.sqrt(n * m) * total \
+        / math.sqrt(var_n * var_m)
     if corr > 1.0:
-        if corr > 1.0 + 1e-6:
-            raise RuntimeError(
-                f"cross-scale correlation {corr} exceeds 1; "
-                "truncation inconsistent"
-            )
-        corr = 1.0
+        raise RuntimeError(
+            f"cross-scale correlation {corr} of scales ({n}, {m}) exceeds 1"
+        )
     return corr
 
 
@@ -235,9 +332,11 @@ class CovTable:
     V(H_i, G_j) = lim [N/n] var(F2_cross(n)) / n^{2(H_i+G_j)};
     ``correlation[q, i, j]`` the asymptotic correlation between
     F2_cross(n_tab) and F2_cross(round(ratio_q * n_tab));
-    ``auto_mean[i]`` the scaled mean E F2_auto(n_tab) / n_tab^{2 H_i}.
-    Entries may be NaN in partially tabulated files; such tables load
-    only for resuming.
+    ``auto_mean[i]`` the scaled mean E F2_auto(n_tab) / n_tab^{2 H_i};
+    ``offsets_used[i, j]`` the number of windows summed directly on
+    either side of the zero offset for the variance limit, beyond which
+    the far-zone series takes over.  Entries may be NaN in partially
+    tabulated files; such tables load only for resuming.
     """
 
     degree: int
@@ -248,7 +347,6 @@ class CovTable:
     correlation: np.ndarray   # (nq, nh, nh)
     auto_mean: np.ndarray     # (nh,)
     offsets_used: np.ndarray  # (nh, nh) int
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     @property
     def grid_min(self) -> float:
@@ -304,13 +402,14 @@ class CovTable:
     def ratio_index(self, ratio: float) -> int:
         """Index of the tabulated ratio used for a scale ratio in (0, 1).
 
-        Snaps toward 1 (smallest tabulated ratio >= requested), which
-        overstates the correlation and is therefore the conservative
-        direction; ratios below the smallest tabulated value reuse the
-        smallest one, mirroring the tabulation floor.  The ratio-1 entry
-        is never used for distinct scales: the asymptotic correlation is
-        discontinuous there (aligned window grids), so requests above
-        the largest sub-1 ratio use that one instead.
+        Snaps toward 1 (smallest tabulated ratio >= requested).  That
+        does not always overstate the correlation: aligned window grids
+        make it irregular at simple fractions, so it can fall from one
+        tabulated ratio to the next.  Ratios below the smallest tabulated
+        value reuse the smallest one, mirroring the tabulation floor.  The
+        ratio-1 entry is never used for distinct scales: the asymptotic
+        correlation is discontinuous there (aligned window grids), so
+        requests above the largest sub-1 ratio use that one instead.
         """
         if not 0.0 < ratio < 1.0:
             raise ValueError("ratio must lie strictly between 0 and 1")
@@ -345,20 +444,19 @@ def ratio_window_sizes(n_tab: int, ratios, degree: int) -> list[int]:
     return sizes
 
 
-def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int,
-                  tail_tol: float = DEFAULT_TAIL_TOL
+def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int
                   ) -> tuple[float, np.ndarray, int]:
     """One (H, G) grid entry: scaled variance limit, correlations at the
-    tabulated window sizes, and the number of offsets summed."""
-    var_sum, jmax = f2_variance_limit(n_tab, h, g, degree, tail_tol)
+    tabulated window sizes, and the number of windows summed directly."""
+    var_sum, jmax = f2_variance_limit(n_tab, h, g, degree)
     corrs = np.empty(len(sizes))
     for q, size in enumerate(sizes):
         if size == n_tab:
             corrs[q] = 1.0
         else:
-            var_m, _ = f2_variance_limit(size, h, g, degree, tail_tol)
+            var_m, _ = f2_variance_limit(size, h, g, degree)
             corrs[q] = f2_cross_scale_corr(n_tab, size, h, g, degree,
-                                           var_sum, var_m, tail_tol)
+                                           var_sum, var_m)
     return var_sum / n_tab ** (2.0 * (h + g)), corrs, jmax
 
 
@@ -375,7 +473,6 @@ def matches_tabulation(table: CovTable, grid, n_tab: int, ratios,
 
 def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
              ratios=DEFAULT_RATIOS, degree: int = 1,
-             tail_tol: float = DEFAULT_TAIL_TOL,
              resume_from: CovTable | None = None,
              progress=None, checkpoint=None, mapper=map) -> CovTable:
     """Tabulate variance limits, ratio correlations and scaled means.
@@ -394,7 +491,7 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
     if n_tab < 128:
         raise ValueError("n_tab must be at least 128")
     # The slowest-decaying pair sits at the top of the grid.
-    _tail_exponent(float(grid[-1]), float(grid[-1]), degree)
+    _check_convergence(float(grid[-1]), float(grid[-1]), degree)
 
     sizes = ratio_window_sizes(n_tab, ratios, degree)
     ratio_vals = np.array([s / n_tab for s in sizes])
@@ -421,14 +518,13 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
         return CovTable(degree=degree, n_tab=n_tab, grid=grid,
                         ratios=ratio_vals, variance=variance,
                         correlation=correlation, auto_mean=auto_mean,
-                        offsets_used=offsets_used, tail_tol=tail_tol)
+                        offsets_used=offsets_used)
 
     pairs = [(i, j) for i in range(nh) for j in range(i, nh)]
     todo = [k for k, (i, j) in enumerate(pairs)
             if np.isnan(variance[i, j])
             or np.isnan(correlation[:, i, j]).any()]
-    work = partial(tabulate_pair, n_tab=n_tab, sizes=sizes, degree=degree,
-                   tail_tol=tail_tol)
+    work = partial(tabulate_pair, n_tab=n_tab, sizes=sizes, degree=degree)
     results = mapper(work, [float(grid[pairs[k][0]]) for k in todo],
                      [float(grid[pairs[k][1]]) for k in todo])
     for k, (scaled_var, corrs, jmax) in zip(todo, results):
@@ -460,7 +556,6 @@ def save_covtab(table: CovTable, path: str):
         fh.write(f"{_COVTAB_MAGIC}\n")
         fh.write(f"degree {table.degree}\n")
         fh.write(f"n_tab {table.n_tab}\n")
-        fh.write(f"tail_tol {table.tail_tol:.17g}\n")
         fh.write(f"grid {fmt_row(table.grid)}\n")
         fh.write(f"ratios {fmt_row(table.ratios)}\n")
         nh, nq = len(table.grid), len(table.ratios)
@@ -535,7 +630,6 @@ def loads_covtab(text: str, allow_partial: bool = False,
             correlation=blocks["correlation"],
             auto_mean=blocks["auto_mean"][0],
             offsets_used=blocks["offsets"].astype(int),
-            tail_tol=float(header.get("tail_tol", DEFAULT_TAIL_TOL)),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None

@@ -7,8 +7,9 @@ the validation studies and writes CSV results.
 
 Exit codes: 0 success, 2 usage or input error, 3 infeasible scale
 configuration, 4 internal numerical failure (a covariance that is not
-positive semidefinite, a failed factorisation or convergence, a
-Cauchy-Schwarz breach).
+positive semidefinite, a failed factorisation, an offset-sum series
+bound out of tolerance or a correlation above 1, a Cauchy-Schwarz
+breach).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .asymptotics import (CovTable, DEFAULT_RATIOS, DEFAULT_TAIL_TOL,
-                          load_covtab, loads_covtab, matches_tabulation,
-                          save_covtab, tabulate)
+from .asymptotics import (CovTable, DEFAULT_RATIOS, load_covtab,
+                          loads_covtab, matches_tabulation, save_covtab,
+                          tabulate)
 from .fbm import FbmParams
 from .fluctuation import sign_log
 from .series import InfeasibleScalesError, load_pair, make_scales, write_pair
@@ -326,9 +327,9 @@ def cmd_tabulate(args) -> int:
 
     with _mapper(args.jobs) as mapper:
         table = tabulate(grid=grid, n_tab=args.n_tab, ratios=ratios,
-                         degree=args.degree, tail_tol=args.tail_tol,
-                         resume_from=resume_from, progress=progress,
-                         checkpoint=checkpoint, mapper=mapper)
+                         degree=args.degree, resume_from=resume_from,
+                         progress=progress, checkpoint=checkpoint,
+                         mapper=mapper)
     save_covtab(table, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -452,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--ratios", default="default",
                     help="'default' or comma-separated values in (0,1]")
     pt.add_argument("--degree", type=int, default=1)
-    pt.add_argument("--tail-tol", dest="tail_tol", type=float,
-                    default=DEFAULT_TAIL_TOL)
     pt.add_argument("--resume", action="store_true")
     pt.add_argument("--jobs", type=int, default=1)
     pt.add_argument("--out", required=True)

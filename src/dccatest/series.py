@@ -9,8 +9,8 @@ held by a :class:`ScaleSet`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,12 +36,11 @@ def integrate_profile(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeriesPair:
-    """Two equal-length increment series together with their profiles."""
+    """Two equal-length increment series; their profiles are integrated
+    on first use."""
 
     y1: np.ndarray
     y2: np.ndarray
-    x1: np.ndarray = field(repr=False)
-    x2: np.ndarray = field(repr=False)
     n_samples: int
 
     @classmethod
@@ -56,13 +55,17 @@ class SeriesPair:
             )
         if len(y1) < 2:
             raise ValueError("need at least 2 samples per series")
-        return cls(
-            y1=y1,
-            y2=y2,
-            x1=integrate_profile(y1),
-            x2=integrate_profile(y2),
-            n_samples=len(y1),
-        )
+        if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
+            raise ValueError("series contains NaN or infinite values")
+        return cls(y1=y1, y2=y2, n_samples=len(y1))
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        return integrate_profile(self.y1)
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        return integrate_profile(self.y2)
 
     @classmethod
     def from_profiles(cls, x1, x2) -> "SeriesPair":

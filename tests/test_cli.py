@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -129,6 +130,28 @@ def test_tabulate_divergent_degree_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "t.covtab")]) == 2
     assert "diverges" in capsys.readouterr().err
     assert not (tmp_path / "t.covtab").exists()
+
+
+def test_tabulate_correlation_above_one_exit_code(tmp_path, capsys,
+                                                  monkeypatch):
+    # A cross-scale correlation above 1, even by 1e-9, is never clamped:
+    # it reports an inconsistent offset sum, an internal error.
+    lattice_sum = dccatest.asymptotics._lattice_sum
+
+    def inflated(n, m, *args):
+        total, windows = lattice_sum(n, m, *args)
+        if n != m:
+            var_n, var_m = (lattice_sum(k, k, *args)[0] for k in (n, m))
+            total = (1.0 + 1e-9) * math.sqrt(n * m * var_n * var_m) \
+                / math.gcd(n, m)
+        return total, windows
+
+    monkeypatch.setattr(dccatest.asymptotics, "_lattice_sum", inflated)
+    capsys.readouterr()
+    assert main(["tabulate", "--grid", "0.7:0.7:0.1", "--n-tab", "128",
+                 "--ratios", "0.5,1.0",
+                 "--out", str(tmp_path / "t.covtab")]) == 4
+    assert "exceeds 1" in capsys.readouterr().err
 
 
 def test_analyze_csv_format(tmp_path, table_file):
