@@ -341,9 +341,8 @@ def cmd_tabulate(args) -> int:
 
 def cmd_study(args) -> int:
     table, _, _ = _load_table(args.table)
-    common = dict(mc_samples=args.mc_samples, seed=args.seed)
     with _mapper(args.jobs, chunksize=16) as mapper:
-        result, summary = _run_study(args, table, common, mapper)
+        result, summary = _run_study(args, table, mapper)
     meta = [f"dccatest {__version__} study={args.study} seed={args.seed}",
             summary]
     _write_rows_csv(result["rows"], args.out, header_comment=meta)
@@ -351,47 +350,32 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _run_study(args, table, common, mapper) -> tuple[dict, str]:
+def _run_study(args, table, mapper) -> tuple[dict, str]:
     """Result and one-line summary of the requested study."""
-    progress = _progress_printer(reports=20)
-    if args.study == "calibration":
-        result = studies_mod.null_calibration(
-            table, replicates=args.replicates, n_samples=args.n_samples,
-            level=args.level, progress=progress, mapper=mapper, **common)
-        summary = f"rejection rate {result['rejection_rate']:.4f}"
-    elif args.study == "nongaussian":
-        result = studies_mod.null_calibration(
-            table, kind="nongaussian", phi=args.phi,
-            replicates=args.replicates, n_samples=args.n_samples,
-            level=args.level, progress=progress, mapper=mapper, **common)
-        summary = f"rejection rate {result['rejection_rate']:.4f}"
-    elif args.study == "shortrange":
-        result = studies_mod.shortrange_robustness(
-            table, replicates=args.replicates, n_samples=args.n_samples,
-            level=args.level, progress=progress, mapper=mapper, **common)
-        summary = (f"joint {result['joint_rate']:.4f} vs bonferroni "
-                   f"{result['bonferroni_rate']:.4f}")
-    elif args.study == "upperbound":
-        result = studies_mod.upperbound_check(
-            table, n_samples=args.n_samples, level=args.level,
-            progress=progress, **common)
-        summary = f"violations {result['violations']}"
-    elif args.study == "power":
+    run = dict(n_samples=args.n_samples, mc_samples=args.mc_samples,
+               seed=args.seed, progress=_progress_printer(reports=20))
+    if args.study == "speed":
+        result = studies_mod.speed_study(table, surrogates=args.replicates,
+                                         **run)
+        return result, f"speedup {result['speedup']:.1f}x"
+    run["level"] = args.level
+    if args.study == "upperbound":
+        result = studies_mod.upperbound_check(table, **run)
+        return result, f"violations {result['violations']}"
+    run.update(replicates=args.replicates, mapper=mapper)
+    if args.study == "shortrange":
+        result = studies_mod.shortrange_robustness(table, **run)
+        return result, (f"joint {result['joint_rate']:.4f} vs bonferroni "
+                        f"{result['bonferroni_rate']:.4f}")
+    if args.study == "power":
         rhos = tuple(float(v) for v in args.rhos.split(","))
-        result = studies_mod.power_study(
-            table, rhos=rhos, replicates=args.replicates,
-            n_samples=args.n_samples, level=args.level, progress=progress,
-            mapper=mapper, **common)
-        summary = " ".join(f"rho={k}:{v:.3f}" for k, v in
-                           result["rates"].items())
-    elif args.study == "speed":
-        result = studies_mod.speed_study(
-            table, n_samples=args.n_samples, surrogates=args.replicates,
-            progress=progress, **common)
-        summary = f"speedup {result['speedup']:.1f}x"
-    else:
-        raise ValueError(f"unknown study {args.study!r}")
-    return result, summary
+        result = studies_mod.power_study(table, rhos=rhos, **run)
+        return result, " ".join(f"rho={k}:{v:.3f}" for k, v in
+                                result["rates"].items())
+    if args.study == "nongaussian":
+        run.update(kind="nongaussian", phi=args.phi)
+    result = studies_mod.null_calibration(table, **run)
+    return result, f"rejection rate {result['rejection_rate']:.4f}"
 
 
 # ---------------------------------------------------------------------------

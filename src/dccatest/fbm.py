@@ -92,7 +92,8 @@ def _pow_second_diff_far(k: np.ndarray, a: float) -> np.ndarray:
 
 def _second_diff(psi, far, k: np.ndarray) -> np.ndarray:
     """psi(k+1) - 2 psi(k) + psi(k-1), taken from ``far(k)`` at
-    |k| >= _SERIES_LAG, where the stencil does not cross zero."""
+    |k| >= _SERIES_LAG, where the stencil does not cross zero; ``far``
+    gets a copy of those lags and may overwrite it."""
     out = np.empty_like(k)
     near = np.abs(k) < _SERIES_LAG
     kn = k[near]
@@ -104,17 +105,11 @@ def _second_diff(psi, far, k: np.ndarray) -> np.ndarray:
 def fgn_autocov(k, hurst: float, sigma: float = 1.0) -> float | np.ndarray:
     """Autocovariance of fractional Gaussian noise at integer lag k.
 
-    gamma(k) = (sigma^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).
+    gamma(k) = (sigma^2/2) (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}), the
+    cross-covariance of a component with itself (rho = 1, H = G).
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError("Hurst exponent must lie in (0, 1)")
-    k = np.abs(np.asarray(k, dtype=float))
-    h2 = 2.0 * hurst
-    val = 0.5 * sigma * sigma * _second_diff(
-        lambda u: np.abs(u) ** h2, lambda u: _pow_second_diff_far(u, h2), k)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    params = FbmParams(hurst, hurst, rho=1.0, sigma1=sigma, sigma2=sigma)
+    return fgn_cross_cov(np.abs(np.asarray(k, dtype=float)), params)
 
 
 def fgn_cross_cov(k, params: FbmParams) -> float | np.ndarray:
@@ -144,8 +139,10 @@ def fgn_cross_cov(k, params: FbmParams) -> float | np.ndarray:
             return (rho - eta * np.sign(u)) * np.abs(u) ** hg
 
         def far(u):
-            return (rho - eta * np.sign(u)) * _pow_second_diff_far(np.abs(u),
-                                                                   hg)
+            # |u| is taken in place and, with eta = 0, no per-lag factor
+            # is formed: each would be 8 MB at 10^6 lags.
+            factor = rho - eta * np.sign(u) if eta else rho
+            return factor * _pow_second_diff_far(np.abs(u, out=u), hg)
 
     val = amp * _second_diff(psi, far, k)
     if val.ndim == 0:

@@ -161,9 +161,11 @@ def _parse_columns(path: str) -> np.ndarray:
     non-numeric line before the data is a header and is skipped.  numpy
     reads the file after the header directly, splitting at commas if the
     first data line has any; it converts each field as float() does.  A
-    file it rejects (a blank field, a line that splits differently from
-    the first, a bad value) is read by :func:`_parse_lines`, which gives
-    the same array or the error with its line number.
+    comma file it rejects is read again without its whitespace-only and
+    indented-comment lines, which numpy would take for one-field rows.
+    A file still rejected (a blank field, a line that splits differently
+    from the first, a bad value) is read by :func:`_parse_lines`, which
+    gives the same array or the error with its line number.
     """
     header = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -183,6 +185,17 @@ def _parse_columns(path: str) -> np.ndarray:
                 return np.loadtxt(path, delimiter=sep, comments="#",
                                   skiprows=header, ndmin=2,
                                   encoding="utf-8")
+            except ValueError:
+                if sep is None:
+                    break
+            # With commas numpy reads a whitespace-only or indented-comment
+            # line as a one-field row: read again without such lines.
+            fh.seek(0)
+            lines = (text for n, text in enumerate(fh, start=1)
+                     if n > header and text.partition("#")[0].strip())
+            try:
+                return np.loadtxt(lines, delimiter=",", comments="#",
+                                  ndmin=2)
             except ValueError:
                 break
     return _parse_lines(path)

@@ -99,12 +99,11 @@ def _gen_bfgn_dense(n: int, params: FbmParams,
     g11, g22, g12_pos, g12_neg = _increment_cov_sequences(n, params)
     idx = np.arange(n)
     lag = idx[None, :] - idx[:, None]          # j - i
+    dist = np.abs(lag)
     cov = np.empty((2 * n, 2 * n))
-    cov[:n, :n] = np.asarray(fgn_autocov(np.abs(lag), params.hurst1,
-                                         params.sigma1))
-    cov[n:, n:] = np.asarray(fgn_autocov(np.abs(lag), params.hurst2,
-                                         params.sigma2))
-    cross = np.where(lag >= 0, g12_pos[np.abs(lag)], g12_neg[np.abs(lag)])
+    cov[:n, :n] = g11[dist]
+    cov[n:, n:] = g22[dist]
+    cross = np.where(lag >= 0, g12_pos[dist], g12_neg[dist])
     cov[:n, n:] = cross
     cov[n:, :n] = cross.T
     try:

@@ -343,8 +343,50 @@ def test_study_stdout_is_csv_only(capsys):
     assert "[40/40]" in captured.err and "ETA" in captured.err
 
 
-def test_study_unknown_name_is_usage_error(tmp_path):
+def test_study_bad_rhos_is_usage_error(tmp_path):
     assert main(["study", "--study", "power", "--rhos", "oops"]) == 2
+
+
+def test_study_unknown_name_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--study", "nonesuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def _study_rows(path):
+    return list(csv.reader(ln for ln in open(path) if not ln.startswith("#")))
+
+
+@pytest.mark.parametrize("study, header", [
+    ("nongaussian", ["replicate", "statistic", "p_value", "reject"]),
+    ("shortrange", ["replicate", "statistic", "p_value", "reject_joint",
+                    "reject_bonferroni"]),
+])
+def test_study_replicate_plumbing(tmp_path, table_file, study, header):
+    out = str(tmp_path / f"{study}.csv")
+    assert main(["study", "--study", study, "--replicates", "4", "--N",
+                 "2000", "--table", table_file, "--mc-samples", "100000",
+                 "--out", out]) == 0
+    rows = _study_rows(out)
+    assert rows[0] == header
+    assert [int(row[0]) for row in rows[1:]] == [0, 1, 2, 3]
+
+
+def test_study_upperbound_plumbing(tmp_path, table_file):
+    out = str(tmp_path / "upperbound.csv")
+    assert main(["study", "--study", "upperbound", "--N", "2000",
+                 "--table", table_file, "--mc-samples", "100000",
+                 "--out", out]) == 0
+    header, *rows = _study_rows(out)
+    assert header[:4] == ["hurst1", "hurst2", "theta_star", "violation"]
+    grid = ["0.5", "0.7", "0.9"]
+    assert [row[:2] for row in rows[:-1]] == [[h, g] for h in grid
+                                              for g in grid]
+    assert rows[-1][:2] == ["nan", "nan"]
+    # A mirrored node (G, H) repeats the threshold and bounds of (H, G).
+    node = {tuple(row[:2]): row[2:] for row in rows[:-1]}
+    assert all(node[h, g] == node[g, h] for h in grid for g in grid)
 
 
 def test_simulate_all_kinds(tmp_path):

@@ -218,6 +218,26 @@ def test_parse_columns_matches_line_reader(tmp_path, text):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("text", [
+    "1,2\n   # indented\n3,4\n",
+    "1 2\n\t# indented\n3 4\n",
+    "x,y\n1,2\n \t\n3,4 # c\n",
+])
+def test_parse_columns_skips_blank_looking_lines_in_numpy(tmp_path,
+                                                          monkeypatch, text):
+    """Whitespace-only and indented-comment lines keep a file off the
+    line-by-line reader, with the array it gives."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    expected = _parse_lines(str(path))
+
+    def refuse(path):
+        raise AssertionError("line-by-line reader used")
+
+    monkeypatch.setattr(series, "_parse_lines", refuse)
+    assert _parse_columns(str(path)).tobytes() == expected.tobytes()
+
+
 def test_parse_columns_matches_line_reader_on_random_digits(tmp_path, rng):
     values = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(
         -300, 300, (500, 2))
