@@ -18,9 +18,9 @@ of the windows, including negative ones.
 Asymptotics per scale are sums of the window-pair covariance c(delta)
 over the displacements delta in g Z, g = gcd(n, m), that the two window
 grids realise (g = n for the variance limit of one scale).  Each sum is
-split at |delta| = 2 max(n, m).  Inside, c(delta) is evaluated directly
-with both lag blocks projected.  Beyond, |a - b - delta|^{2H} is a
-binomial series in (a - b) / delta that converges at least like 2^{-k};
+split at |delta| = 2 max(n, m).  Inside, c(delta) is summed directly, from
+lag rows projected once for all offsets.  Beyond, |a - b - delta|^{2H} is
+a binomial series in (a - b) / delta that converges at least like 2^{-k};
 the projectors remove its orders below 2d + 2, and the remaining orders
 sum over the lattice in closed form through Hurwitz zeta values, with
 Hurst-free Gram matrices of the projected lag powers.  Nothing is
@@ -56,8 +56,8 @@ _PSD_RTOL = 1e-8
 # the whole lattice sum.
 _SERIES_ORDER = 80
 _SERIES_RTOL = 1e-10
-# Elements of one (offsets or orders, rows, columns) block; about three
-# blocks of this size are live at once.
+# Elements of one (orders, rows, columns) block of the far-zone Gram
+# matrices; about three blocks of this size are live at once.
 _BLOCK_ELEMENTS = 1 << 17
 # Bernoulli numbers B_2, B_4, ..., B_12 for Euler-Maclaurin.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
@@ -107,37 +107,32 @@ def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
     offsets are sample displacements and may be negative.  Q_n and Q_m
     annihilate the rank-one parts of A_H and A_G, so the trace reduces
     to <Q_n T_H Q_m, Q_n T_G Q_m> / (4 n m) with the lag blocks
-    T[a, b] = |a - b - offset|^{2H}.  Both blocks are projected with the
-    thin fit bases before the contraction: against an unprojected T_G,
-    whose entries exceed the projected ones by orders of magnitude for
-    short windows, the contraction cancels digits.
+    T[a, b] = |a - b - offset|^{2H}, n rows of one lag matrix that all
+    offsets share.  Each row is projected by Q_m once; Q_n enters through
+    <Q_n X, Q_n Y> = <X, Y> - <B^T X, B^T Y>, B the fit basis.  That
+    subtraction cancels the digits the fit explains, so the shorter
+    window is projected entry by entry: c(n, m, delta) = c(m, n, -delta).
     """
     offsets = np.asarray(offsets, dtype=int)
+    if m > n:
+        return _cross_cov_disp_batch(m, n, -offsets, hurst1, hurst2, degree)
     basis_n = poly_basis(n, degree)
     basis_m = poly_basis(m, degree)
-    top = int(offsets.max())
-    lags = np.abs(np.arange(1 - m - top, n - int(offsets.min()),
-                            dtype=float))
-    # Row i of a window holds |i - top - b|^{2H} at column b, so block k
-    # is rows a + top - offsets[k], a = 0..n-1, of it.
-    windows = {h: sliding_window_view(lags ** (2.0 * h), m)[:, ::-1]
-               for h in {hurst1, hurst2}}
-    rows = np.arange(n) + (top - offsets)[:, None]
-
-    def projected(hurst: float, part: np.ndarray) -> np.ndarray:
-        block = windows[hurst][part]
-        block -= basis_n @ (basis_n.T @ block)
-        block -= (block @ basis_m) @ basis_m.T
-        return block
-
-    out = np.empty(len(offsets))
-    chunk = max(1, _BLOCK_ELEMENTS // (n * m))
-    for start in range(0, len(offsets), chunk):
-        part = rows[start:start + chunk]
-        proj_h = projected(hurst1, part)
-        proj_g = proj_h if hurst2 == hurst1 else projected(hurst2, part)
-        out[start:start + chunk] = np.einsum("kab,kab->k", proj_h, proj_g)
-    return out / (4.0 * n * m)
+    low, top = int(offsets.min()), int(offsets.max())
+    step = int(np.gcd.reduce(offsets - low)) or 1
+    lags = np.abs(np.arange(1 - m - top, n - low, dtype=float))
+    # Row i holds |i - top - b|^{2H} at column b, so the block of offset
+    # delta is rows top - delta .. top - delta + n - 1.
+    rows, moments = {}, {}
+    for h in {hurst1, hurst2}:
+        lag_rows = sliding_window_view(lags ** (2.0 * h), m)[:, ::-1]
+        rows[h] = lag_rows - (lag_rows @ basis_m) @ basis_m.T
+        moments[h] = sliding_window_view(rows[h], n, axis=0)[::step] \
+            @ basis_n
+    row_dots = np.einsum("ib,ib->i", rows[hurst1], rows[hurst2])
+    inner = sliding_window_view(row_dots, n)[::step].sum(axis=1) \
+        - np.einsum("wbk,wbk->w", moments[hurst1], moments[hurst2])
+    return inner[(top - offsets) // step] / (4.0 * n * m)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +268,9 @@ def _far_sum(n: int, m: int, step: int, first: int, hurst1: float,
 
 
 def _lattice_sum(n: int, m: int, hurst1: float, hurst2: float,
-                 degree: int) -> tuple[float, int]:
-    """sum_{delta in g Z} c(delta), g = gcd(n, m), and the number of
-    lattice steps summed directly on either side of delta = 0."""
+                 degree: int) -> float:
+    """sum_{delta in g Z} c(delta), g = gcd(n, m), direct inside
+    |delta| < 2 max(n, m) and by :func:`_far_sum` beyond."""
     _check_convergence(hurst1, hurst2, degree)
     step = math.gcd(n, m)
     first = 2 * max(n, m) // step
@@ -283,21 +278,18 @@ def _lattice_sum(n: int, m: int, hurst1: float, hurst2: float,
                                  hurst1, hurst2, degree)
     far, bound = _far_sum(n, m, step, first, hurst1, hurst2, degree)
     total = float(near.sum()) + far
-    if bound > _SERIES_RTOL * abs(total):
+    # Written so that a NaN bound fails too.
+    if not bound <= _SERIES_RTOL * abs(total):
         raise RuntimeError(
             f"far-zone series bound {bound:.3e} exceeds {_SERIES_RTOL:g} "
             f"of the offset sum {total:.6e} at scales ({n}, {m})"
         )
-    return total, first - 1
+    return total
 
 
 def f2_variance_limit(n: int, hurst1: float, hurst2: float,
-                      degree: int) -> tuple[float, int]:
-    """Limit of [N/n] var(F2_cross(n)) as a window-offset sum.
-
-    Returns (sum, j) where offsets -j..j windows were summed directly
-    and the rest by the far-zone series of :func:`_far_sum`.
-    """
+                      degree: int) -> float:
+    """Limit of [N/n] var(F2_cross(n)) as a window-offset sum."""
     return _lattice_sum(n, n, hurst1, hurst2, degree)
 
 
@@ -310,7 +302,7 @@ def f2_cross_scale_corr(n: int, m: int, hurst1: float, hurst2: float,
     displacement delta, and V_n = ``var_n``, V_m = ``var_m`` the
     single-scale variance limits of :func:`f2_variance_limit`.
     """
-    total, _ = _lattice_sum(n, m, hurst1, hurst2, degree)
+    total = _lattice_sum(n, m, hurst1, hurst2, degree)
     corr = math.gcd(n, m) / math.sqrt(n * m) * total \
         / math.sqrt(var_n * var_m)
     if corr > 1.0:
@@ -335,8 +327,9 @@ class CovTable:
     ``auto_mean[i]`` the scaled mean E F2_auto(n_tab) / n_tab^{2 H_i};
     ``offsets_used[i, j]`` the number of windows summed directly on
     either side of the zero offset for the variance limit, beyond which
-    the far-zone series takes over.  Entries may be NaN in partially
-    tabulated files; such tables load only for resuming.
+    the far-zone series takes over (1, or 0 where not yet tabulated).
+    Entries may be NaN in partially tabulated files; such tables load
+    only for resuming.
     """
 
     degree: int
@@ -445,19 +438,19 @@ def ratio_window_sizes(n_tab: int, ratios, degree: int) -> list[int]:
 
 
 def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int
-                  ) -> tuple[float, np.ndarray, int]:
-    """One (H, G) grid entry: scaled variance limit, correlations at the
-    tabulated window sizes, and the number of windows summed directly."""
-    var_sum, jmax = f2_variance_limit(n_tab, h, g, degree)
+                  ) -> tuple[float, np.ndarray]:
+    """One (H, G) grid entry: scaled variance limit and correlations at
+    the tabulated window sizes."""
+    var_sum = f2_variance_limit(n_tab, h, g, degree)
     corrs = np.empty(len(sizes))
     for q, size in enumerate(sizes):
         if size == n_tab:
             corrs[q] = 1.0
         else:
-            var_m, _ = f2_variance_limit(size, h, g, degree)
+            var_m = f2_variance_limit(size, h, g, degree)
             corrs[q] = f2_cross_scale_corr(n_tab, size, h, g, degree,
                                            var_sum, var_m)
-    return var_sum / n_tab ** (2.0 * (h + g)), corrs, jmax
+    return var_sum / n_tab ** (2.0 * (h + g)), corrs
 
 
 def matches_tabulation(table: CovTable, grid, n_tab: int, ratios,
@@ -502,12 +495,10 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
         variance = resume_from.variance.copy()
         correlation = resume_from.correlation.copy()
         auto_mean = resume_from.auto_mean.copy()
-        offsets_used = resume_from.offsets_used.copy()
     else:
         variance = np.full((nh, nh), np.nan)
         correlation = np.full((nq, nh, nh), np.nan)
         auto_mean = np.full(nh, np.nan)
-        offsets_used = np.zeros((nh, nh), dtype=int)
 
     for i, h in enumerate(grid):
         if np.isnan(auto_mean[i]):
@@ -518,7 +509,7 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
         return CovTable(degree=degree, n_tab=n_tab, grid=grid,
                         ratios=ratio_vals, variance=variance,
                         correlation=correlation, auto_mean=auto_mean,
-                        offsets_used=offsets_used)
+                        offsets_used=(~np.isnan(variance)).astype(int))
 
     pairs = [(i, j) for i in range(nh) for j in range(i, nh)]
     todo = [k for k, (i, j) in enumerate(pairs)
@@ -527,10 +518,9 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
     work = partial(tabulate_pair, n_tab=n_tab, sizes=sizes, degree=degree)
     results = mapper(work, [float(grid[pairs[k][0]]) for k in todo],
                      [float(grid[pairs[k][1]]) for k in todo])
-    for k, (scaled_var, corrs, jmax) in zip(todo, results):
+    for k, (scaled_var, corrs) in zip(todo, results):
         i, j = pairs[k]
         variance[i, j] = variance[j, i] = scaled_var
-        offsets_used[i, j] = offsets_used[j, i] = jmax
         correlation[:, i, j] = correlation[:, j, i] = corrs
         if progress is not None:
             progress(k + 1, len(pairs), float(grid[i]), float(grid[j]))

@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -107,10 +108,18 @@ def _mapper(jobs: int, chunksize: int = 1):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # Spawned workers start from a fresh import: forking a process whose
-    # BLAS may already run threads is unsafe.
+    # BLAS may already run threads is unsafe.  Workers, which may start at
+    # any map call, run one BLAS thread each: the pool fills the cores.
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-        yield partial(pool.map, chunksize=chunksize)
+    saved = dict(os.environ)
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            yield partial(pool.map, chunksize=chunksize)
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
 
 
 def _progress_printer(reports: int | None = None):

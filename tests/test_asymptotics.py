@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dccatest import asymptotics
 from dccatest.asymptotics import (CovTable, _cross_cov_disp_batch, _far_sum,
                                   _hurwitz_scaled, f2_cross_scale_corr,
                                   f2_variance_limit, fluct_mean_exact,
@@ -103,7 +104,8 @@ def test_cov_offset_decay_rate():
 
 _EXACT_CASES = [(n, m, h, g, degree) for degree in (1, 2)
                 for h, g in ((0.7, 0.8), (0.9, 0.96))
-                for n, m in ((16, 16), (16, 8))] + [(64, 3, 0.98, 0.98, 1)]
+                for n, m in ((16, 16), (16, 8))] + [(64, 3, 0.98, 0.98, 1),
+                                                   (3, 64, 0.98, 0.98, 1)]
 
 
 @pytest.mark.parametrize(
@@ -120,6 +122,26 @@ def test_cross_cov_matches_exact_arithmetic(n, m, h, g, degree):
                       for j in js])
     got = _cross_cov_disp_batch(n, m, js * n, h, g, degree)
     assert np.abs(got - exact).max() <= 1e-9 * abs(exact[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 2), n=st.integers(2, 24), m=st.integers(2, 24),
+       offsets=st.lists(st.integers(-60, 60), min_size=1, max_size=6),
+       hurst=st.sampled_from([(0.7, 0.8), (0.98, 0.98), (0.55, 0.9)]))
+def test_cross_cov_offset_sets_match_single_offsets(degree, n, m, offsets,
+                                                    hurst):
+    # Offsets may come unsorted, negative, repeated or alone; the shared
+    # lag rows of one call give what one call per offset gives, and
+    # exchanging the windows negates the offset.
+    assume(min(n, m) >= degree + 2)
+    offsets = np.array(offsets)
+    got = _cross_cov_disp_batch(n, m, offsets, *hurst, degree)
+    single = [_cross_cov_disp_batch(n, m, [off], *hurst, degree)[0]
+              for off in offsets]
+    swapped = _cross_cov_disp_batch(m, n, -offsets, *hurst, degree)
+    tol = 1e-12 * abs(_cross_cov_disp_batch(n, m, [0], *hurst, degree)[0])
+    assert np.abs(got - single).max() <= tol
+    assert np.abs(got - swapped).max() <= tol
 
 
 @pytest.mark.parametrize("n, m, h, g, degree", [
@@ -211,8 +233,7 @@ def test_dfa_dcca_uncorrelated_monte_carlo(rng):
 
 
 def test_variance_limit_positive_and_converged():
-    total, _ = f2_variance_limit(64, 0.7, 0.8, 1)
-    assert total > 0
+    assert f2_variance_limit(64, 0.7, 0.8, 1) > 0
 
 
 def test_variance_limit_tail_exponent_follows_degree():
@@ -221,11 +242,20 @@ def test_variance_limit_tail_exponent_follows_degree():
     # and adds the integral of the same power law beyond them.
     n, h, j_ref = 64, 0.6, 2000
     alpha = 4.0 * h - 4.0
-    total, _ = f2_variance_limit(n, h, h, 0)
+    total = f2_variance_limit(n, h, h, 0)
     vals = _cross_cov_disp_batch(n, n, np.arange(j_ref + 1) * n, h, h, 0)
     ref = vals[0] + 2.0 * vals[1:].sum() \
         + 2.0 * vals[-1] * j_ref / (-alpha - 1.0)
     assert abs(total - ref) <= 2e-3 * ref
+
+
+def test_nan_series_bound_rejected(monkeypatch):
+    # A NaN bound on the omitted orders bounds nothing: the sum is refused.
+    far_sum = asymptotics._far_sum
+    monkeypatch.setattr(asymptotics, "_far_sum",
+                        lambda *args: (far_sum(*args)[0], math.nan))
+    with pytest.raises(RuntimeError, match="bound nan"):
+        f2_variance_limit(64, 0.7, 0.8, 1)
 
 
 def test_divergent_offset_sum_rejected():
@@ -247,11 +277,12 @@ def test_shipped_table_matches_fresh_tabulation(full_table, h, g):
     sizes = [int(round(tab.ratios[q] * tab.n_tab)) for q in qs]
     i = int(np.argmin(np.abs(tab.grid - h)))
     j = int(np.argmin(np.abs(tab.grid - g)))
-    var, corrs, jmax = tabulate_pair(float(tab.grid[i]), float(tab.grid[j]),
-                                     tab.n_tab, sizes, tab.degree)
+    var, corrs = tabulate_pair(float(tab.grid[i]), float(tab.grid[j]),
+                               tab.n_tab, sizes, tab.degree)
     assert var == pytest.approx(tab.variance[i, j], rel=1e-6)
     assert np.abs(corrs - tab.correlation[qs, i, j]).max() <= 1e-4
-    assert jmax == tab.offsets_used[i, j]
+    # A variance sum takes one window on either side of zero directly.
+    assert tab.offsets_used[i, j] == 1
 
 
 def test_tabulate_tiny_grid_properties(tiny_table):

@@ -12,7 +12,7 @@ import pytest
 
 import dccatest
 from dccatest.asymptotics import load_covtab, save_covtab
-from dccatest.cli import DEFAULT_TABLE_RESOURCE, main
+from dccatest.cli import DEFAULT_TABLE_RESOURCE, _mapper, main
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +139,11 @@ def test_tabulate_correlation_above_one_exit_code(tmp_path, capsys,
     lattice_sum = dccatest.asymptotics._lattice_sum
 
     def inflated(n, m, *args):
-        total, windows = lattice_sum(n, m, *args)
-        if n != m:
-            var_n, var_m = (lattice_sum(k, k, *args)[0] for k in (n, m))
-            total = (1.0 + 1e-9) * math.sqrt(n * m * var_n * var_m) \
-                / math.gcd(n, m)
-        return total, windows
+        if n == m:
+            return lattice_sum(n, m, *args)
+        var_n, var_m = (lattice_sum(k, k, *args) for k in (n, m))
+        return (1.0 + 1e-9) * math.sqrt(n * m * var_n * var_m) \
+            / math.gcd(n, m)
 
     monkeypatch.setattr(dccatest.asymptotics, "_lattice_sum", inflated)
     capsys.readouterr()
@@ -290,6 +289,18 @@ def test_tabulate_jobs_resume_on_new_grid_starts_fresh(tmp_path, capsys):
                  "--out", serial]) == 0
     assert open(old, "rb").read() == open(serial, "rb").read()
     assert load_covtab(serial).is_complete()
+
+
+def test_mapper_workers_run_one_blas_thread(monkeypatch):
+    # Each pool worker runs one BLAS thread, so --jobs does not
+    # oversubscribe the cores; the parent's environment comes back.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    with _mapper(2) as mapper:
+        assert list(mapper(os.getenv, names)) == ["1"] * 3
+    assert dict(os.environ) == before
 
 
 def test_cli_import_loads_no_scipy():
