@@ -47,8 +47,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .fluctuation import poly_basis
 
 DEFAULT_GRID = tuple(np.round(np.arange(0.50, 0.9801, 0.02), 10))
-DEFAULT_N_TAB = 512
-DEFAULT_RATIOS = tuple(np.round(np.arange(0.01, 1.0001, 0.01), 10))
+DEFAULT_N_TAB = 256
+# The shipped table's window sizes: dense near 1, a few below 1/8.
+DEFAULT_RATIOS = tuple(size / DEFAULT_N_TAB for size in (
+    3, 5, 10, 16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 179, 192,
+    208, 224, 230, 240, 243, 256))
 
 _PSD_RTOL = 1e-8
 # Highest binomial order kept in each lag block of the far-zone series,
@@ -111,11 +114,13 @@ def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,
     offsets share.  Each row is projected by Q_m once; Q_n enters through
     <Q_n X, Q_n Y> = <X, Y> - <B^T X, B^T Y>, B the fit basis.  That
     subtraction cancels the digits the fit explains, so the shorter
-    window is projected entry by entry: c(n, m, delta) = c(m, n, -delta).
+    window is projected entry by entry: c(n, m, delta) = c(m, n, -delta),
+    and c(n, n, delta) is taken at |delta|, where it is exactly even.
     """
     offsets = np.asarray(offsets, dtype=int)
     if m > n:
         return _cross_cov_disp_batch(m, n, -offsets, hurst1, hurst2, degree)
+    offsets = np.abs(offsets) if m == n else offsets
     basis_n = poly_basis(n, degree)
     basis_m = poly_basis(m, degree)
     low, top = int(offsets.min()), int(offsets.max())
@@ -180,7 +185,7 @@ def _binomial_coefs(alpha: float, count: int) -> np.ndarray:
     return np.concatenate([[1.0], np.cumprod((alpha - k) / (k + 1))])
 
 
-@lru_cache(maxsize=128)
+@cache
 def _binomial_gram(n: int, m: int, degree: int) -> np.ndarray:
     """M[k, l] = <Q_n Y_k Q_m, Q_n Y_l Q_m> with Y_k[a, b] = ((a - b)/s)^k,
     s = max(n, m), for the orders 2d+2 <= k, l <= ``_SERIES_ORDER``.
@@ -324,12 +329,10 @@ class CovTable:
     V(H_i, G_j) = lim [N/n] var(F2_cross(n)) / n^{2(H_i+G_j)};
     ``correlation[q, i, j]`` the asymptotic correlation between
     F2_cross(n_tab) and F2_cross(round(ratio_q * n_tab));
-    ``auto_mean[i]`` the scaled mean E F2_auto(n_tab) / n_tab^{2 H_i};
-    ``offsets_used[i, j]`` the number of windows summed directly on
-    either side of the zero offset for the variance limit, beyond which
-    the far-zone series takes over (1, or 0 where not yet tabulated).
+    ``auto_mean[i]`` the scaled mean E F2_auto(n_tab) / n_tab^{2 H_i}.
     Entries may be NaN in partially tabulated files; such tables load
-    only for resuming.
+    only for resuming.  ``degree`` is the detrending degree of every
+    statistic the table serves; nothing else restates it.
     """
 
     degree: int
@@ -339,7 +342,12 @@ class CovTable:
     variance: np.ndarray      # (nh, nh)
     correlation: np.ndarray   # (nq, nh, nh)
     auto_mean: np.ndarray     # (nh,)
-    offsets_used: np.ndarray  # (nh, nh) int
+
+    @property
+    def offsets_used(self) -> np.ndarray:
+        """Windows summed directly on either side of the zero offset per
+        variance limit: 1 where tabulated, 0 where NaN."""
+        return (~np.isnan(self.variance)).astype(int)
 
     @property
     def grid_min(self) -> float:
@@ -508,8 +516,7 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
     def snapshot() -> CovTable:
         return CovTable(degree=degree, n_tab=n_tab, grid=grid,
                         ratios=ratio_vals, variance=variance,
-                        correlation=correlation, auto_mean=auto_mean,
-                        offsets_used=(~np.isnan(variance)).astype(int))
+                        correlation=correlation, auto_mean=auto_mean)
 
     pairs = [(i, j) for i in range(nh) for j in range(i, nh)]
     todo = [k for k, (i, j) in enumerate(pairs)
@@ -619,7 +626,6 @@ def loads_covtab(text: str, allow_partial: bool = False,
             variance=blocks["variance"],
             correlation=blocks["correlation"],
             auto_mean=blocks["auto_mean"][0],
-            offsets_used=blocks["offsets"].astype(int),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
@@ -645,7 +651,6 @@ class NullCovariance:
     matrix: np.ndarray
     scales: tuple[int, ...]
     n_samples: int
-    degree: int
     provenance: tuple
 
     @property
@@ -695,19 +700,13 @@ def _scaled_rho_variance(n: int, hurst1: float, hurst2: float,
         / (mean1 * mean2)
 
 
-def _assemble_null_cov(scales, n_samples: int, table: CovTable,
-                       degree: int | None, variance, correlation,
-                       what: str, provenance: tuple) -> NullCovariance:
+def _assemble_null_cov(scales, n_samples: int, table: CovTable, variance,
+                       correlation, what: str,
+                       provenance: tuple) -> NullCovariance:
     """Null covariance with diagonal ``variance(n)`` per scale and each
     off-diagonal ``correlation(q)`` at the pair's tabulated ratio index q
     times the geometric mean of the two variances."""
     scales = tuple(int(n) for n in scales)
-    if degree is None:
-        degree = table.degree
-    if degree != table.degree:
-        raise ValueError(
-            f"table was tabulated for degree {table.degree}, not {degree}"
-        )
     diag = np.array([variance(n) for n in scales])
     mat = np.diag(diag)
     # Many pairs share a ratio index: look each one up once.
@@ -719,11 +718,11 @@ def _assemble_null_cov(scales, n_samples: int, table: CovTable,
             mat[i, j] = mat[j, i] = corr * math.sqrt(diag[i] * diag[j])
     _validate_null_cov(mat, what)
     return NullCovariance(matrix=mat, scales=scales, n_samples=n_samples,
-                          degree=degree, provenance=provenance)
+                          provenance=provenance)
 
 
 def rho_null_cov(scales, n_samples: int, hurst1: float, hurst2: float,
-                 table: CovTable, degree: int | None = None) -> NullCovariance:
+                 table: CovTable) -> NullCovariance:
     """Exact-(H, G) null covariance of the scaled rho vector.
 
     Variances come from the tabulated limit (bilinear in (H, G)) scaled
@@ -732,7 +731,7 @@ def rho_null_cov(scales, n_samples: int, hurst1: float, hurst2: float,
     """
     vlim = table.variance_at(hurst1, hurst2)
     return _assemble_null_cov(
-        scales, n_samples, table, degree,
+        scales, n_samples, table,
         lambda n: _scaled_rho_variance(n, hurst1, hurst2, table.degree,
                                        vlim),
         lambda q: table._bilinear(table.correlation[q], hurst1, hurst2),
@@ -740,7 +739,7 @@ def rho_null_cov(scales, n_samples: int, hurst1: float, hurst2: float,
 
 
 def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
-                   table: CovTable, degree: int | None = None) -> NullCovariance:
+                   table: CovTable) -> NullCovariance:
     """Worst-case null covariance over a Hurst rectangle.
 
     Diagonal entries are the maxima of the per-scale variances over the
@@ -772,6 +771,6 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
                    for ih in h_nodes for ig in g_nodes)
 
     return _assemble_null_cov(
-        scales, n_samples, table, degree, variance,
+        scales, n_samples, table, variance,
         lambda q: float(in_range(table.correlation[q]).max()),
         "worst_case_cov", ("worst-case", h_low, h_high, g_low, g_high))

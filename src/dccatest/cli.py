@@ -28,9 +28,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .asymptotics import (CovTable, DEFAULT_RATIOS, load_covtab,
-                          loads_covtab, matches_tabulation, save_covtab,
-                          tabulate)
+from .asymptotics import (CovTable, DEFAULT_GRID, DEFAULT_N_TAB,
+                          DEFAULT_RATIOS, load_covtab, loads_covtab,
+                          matches_tabulation, save_covtab, tabulate)
 from .fbm import FbmParams
 from .fluctuation import sign_log
 from .series import InfeasibleScalesError, load_pair, make_scales, write_pair
@@ -225,14 +225,14 @@ def cmd_analyze(args) -> int:
         columns = (int(a), int(b))
     pair = load_pair(args.file_a, args.file_b, columns)
 
-    degree = args.degree
+    table, table_name, checksum = _load_table(args.table)
+    degree = table.degree
     if args.scales:
         scale_set = _parse_scales_arg(args.scales, pair.n_samples, degree)
     else:
         n_max = max(pair.n_samples // 20, degree + 3)
         scale_set = make_scales(pair.n_samples, min(20, n_max - 1), n_max,
                                 10, degree)
-    table, table_name, checksum = _load_table(args.table)
     config = TestConfig(
         scale_set=scale_set,
         level=args.level,
@@ -305,7 +305,7 @@ def _parse_grid(value: str) -> np.ndarray:
 
 
 def cmd_tabulate(args) -> int:
-    grid = _parse_grid(args.grid)
+    grid = DEFAULT_GRID if args.grid is None else _parse_grid(args.grid)
     ratios = DEFAULT_RATIOS if args.ratios == "default" else \
         tuple(float(v) for v in args.ratios.split(","))
     resume_from = None
@@ -405,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file_b", nargs="?", default=None)
     pa.add_argument("--columns", help="1-based columns, e.g. 1,2")
     pa.add_argument("--scales", help="MIN:MAX:R log-spaced window sizes")
-    pa.add_argument("--degree", type=int, default=1)
     pa.add_argument("--kappa", default="r", help="integer, r, or r-1")
     pa.add_argument("--level", type=float, default=0.05)
     pa.add_argument("--hurst", default="auto",
                     help="known:H,G | range:HL,HH,GL,GH | auto")
-    pa.add_argument("--table", help="covariance table path (default builtin)")
+    pa.add_argument("--table", help="covariance table path (default "
+                    "builtin); its degree is the detrending degree")
     pa.add_argument("--mc-samples", type=int, default=1_000_000)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", help="write report here instead of stdout")
@@ -441,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_simulate)
 
     pt = sub.add_parser("tabulate", help="build a covariance table")
-    pt.add_argument("--grid", default="0.5:0.98:0.02", help="MIN:MAX:STEP")
-    pt.add_argument("--n-tab", dest="n_tab", type=int, default=512)
+    pt.add_argument("--grid", help="MIN:MAX:STEP (default: shipped grid)")
+    pt.add_argument("--n-tab", dest="n_tab", type=int, default=DEFAULT_N_TAB)
     pt.add_argument("--ratios", default="default",
                     help="'default' or comma-separated values in (0,1]")
     pt.add_argument("--degree", type=int, default=1)

@@ -28,11 +28,10 @@ from .testkit import GaussianTailPool, pool_normals, scaled_rho, \
 STUDY_NAMES = ("calibration", "nongaussian", "shortrange", "upperbound",
                "power", "speed")
 
-# Every study uses R log-spaced scales and detrending degree DEGREE; the
-# simulated pairs have Hurst exponents HURST, or SHORTRANGE_HURST in the
-# short-range study.
+# Every study uses R log-spaced scales, detrended at the table's degree;
+# the simulated pairs have Hurst exponents HURST, or SHORTRANGE_HURST in
+# the short-range study.
 R = 10
-DEGREE = 1
 HURST = (0.7, 0.8)
 SHORTRANGE_HURST = (0.9, 0.9)
 # Scale ranges (n_min, n_max); nongaussian and upperbound use calibration's.
@@ -73,8 +72,8 @@ def _known_null(table: CovTable, n_samples: int, scale_range, hurst,
                 mc_samples: int, seed: int):
     """Scales, exact null covariance and Monte Carlo pool of a study
     whose Hurst exponents are known by construction."""
-    scale_set = make_scales(n_samples, *scale_range, R, DEGREE)
-    cov = rho_null_cov(scale_set.scales, n_samples, *hurst, table, DEGREE)
+    scale_set = make_scales(n_samples, *scale_range, R, table.degree)
+    cov = rho_null_cov(scale_set.scales, n_samples, *hurst, table)
     pool = GaussianTailPool(cov.matrix, scale_set.r, mc_samples, seed)
     return scale_set, cov, pool
 
@@ -172,7 +171,8 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
     across nodes), drawn once: the draws each node's own seeded pool
     would make, so every theta* is that pool's.
     """
-    scales = make_scales(n_samples, *CALIBRATION_SCALES, R, DEGREE).scales
+    scales = make_scales(n_samples, *CALIBRATION_SCALES, R,
+                         table.degree).scales
     grid = table.grid
     normals = pool_normals(mc_samples, len(scales), seed)
 
@@ -187,8 +187,7 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
                 **{f"bound_n{n}": b for n, b in zip(scales, bounds)}}
 
     wc_theta, wc_bounds = boundary(worst_case_cov(
-        scales, n_samples, (grid[0], grid[-1]), (grid[0], grid[-1]), table,
-        DEGREE))
+        scales, n_samples, (grid[0], grid[-1]), (grid[0], grid[-1]), table))
     nodes = {}
     pairs = len(grid) * (len(grid) + 1) // 2
     rows = []
@@ -198,7 +197,7 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
                 theta, bounds = nodes[j, i]
             else:
                 theta, bounds = nodes[i, j] = boundary(rho_null_cov(
-                    scales, n_samples, float(h), float(g), table, DEGREE))
+                    scales, n_samples, float(h), float(g), table))
                 if progress is not None:
                     progress(len(nodes), pairs)
             exceed = int(np.any(bounds > wc_bounds + 1e-12))
@@ -262,7 +261,7 @@ def speed_study(table: CovTable, *, n_samples: int = 20_000,
     """
     # The observed pair is simulated first, so both sides are timed in a
     # warm process.
-    scale_set = make_scales(n_samples, *SPEED_SCALES, R, DEGREE)
+    scale_set = make_scales(n_samples, *SPEED_SCALES, R, table.degree)
     params = FbmParams(*HURST)
     observed = _rho_vectors("bfgn", params, n_samples, scale_set, 1, seed)[0]
 

@@ -312,22 +312,23 @@ def _hurst_range(est: HurstEstimate, table: CovTable) -> tuple[float, float]:
 def build_null_cov(config: TestConfig, n_samples: int, table: CovTable,
                    est1: HurstEstimate | None = None,
                    est2: HurstEstimate | None = None) -> NullCovariance:
-    """Null covariance per the configured Hurst mode."""
-    scales = config.scale_set.scales
+    """Null covariance per the configured Hurst mode, at the table's
+    degree, which must be the scales' degree."""
+    scales, degree = config.scale_set.scales, config.scale_set.degree
+    if degree != table.degree:
+        raise ValueError(f"table was tabulated for degree {table.degree}, "
+                         f"not {degree}")
     mode = config.hurst_mode[0]
     if mode == "known":
         _, h, g = config.hurst_mode
-        return rho_null_cov(scales, n_samples, h, g, table,
-                            config.scale_set.degree)
+        return rho_null_cov(scales, n_samples, h, g, table)
     if mode == "range":
         _, hl, hh, gl, gh = config.hurst_mode
-        return worst_case_cov(scales, n_samples, (hl, hh), (gl, gh), table,
-                              config.scale_set.degree)
+        return worst_case_cov(scales, n_samples, (hl, hh), (gl, gh), table)
     if est1 is None or est2 is None:
         raise ValueError("auto Hurst mode needs DFA estimates")
     return worst_case_cov(scales, n_samples, _hurst_range(est1, table),
-                          _hurst_range(est2, table), table,
-                          config.scale_set.degree)
+                          _hurst_range(est2, table), table)
 
 
 def stat_dcca(pair: SeriesPair, config: TestConfig,

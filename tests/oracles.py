@@ -212,15 +212,14 @@ def upperbound_rows(table, *, n_samples: int, level: float, n_min: int,
         return out, cov.rho_bounds(theta)
 
     worst, wc_bounds = row(float("nan"), float("nan"), worst_case_cov(
-        scales, n_samples, (grid[0], grid[-1]), (grid[0], grid[-1]), table,
-        degree))
+        scales, n_samples, (grid[0], grid[-1]), (grid[0], grid[-1]), table))
     worst["violation"] = 0
     worst.update({f"bound_n{n}": b for n, b in zip(scales, wc_bounds)})
     rows = []
     for h in grid:
         for g in grid:
             node, bounds = row(float(h), float(g), rho_null_cov(
-                scales, n_samples, float(h), float(g), table, degree))
+                scales, n_samples, float(h), float(g), table))
             node["violation"] = int(np.any(bounds > wc_bounds + 1e-12))
             node.update({f"bound_n{n}": b for n, b in zip(scales, bounds)})
             rows.append(node)

@@ -122,6 +122,19 @@ def test_analyze_reports_table_checksum(tmp_path, table_file):
             Path(path).read_bytes()).hexdigest()
 
 
+def test_analyze_takes_the_degree_of_its_table(tmp_path):
+    # No flag restates the table's degree: scales are detrended at it.
+    table = str(tmp_path / "d0.covtab")
+    assert main(["tabulate", "--grid", "0.6:0.7:0.1", "--n-tab", "128",
+                 "--ratios", "0.1,0.3,0.6,1.0", "--degree", "0",
+                 "--out", table]) == 0
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", _simulate(tmp_path), "--scales", "20:200:5",
+                 "--table", table, "--mc-samples", "150000",
+                 "--hurst", "known:0.6,0.6", "--out", out]) == 0
+    assert json.loads(open(out).read())["config"]["degree"] == 0
+
+
 def test_tabulate_divergent_degree_exit_code(tmp_path, capsys):
     # At degree 0 the offset sums diverge for H + G >= 1.5: a user error.
     capsys.readouterr()

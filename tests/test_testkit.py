@@ -18,7 +18,7 @@ from dccatest.testkit import test_statistic as joint_statistic
 def _identity_cov(r):
     return NullCovariance(matrix=np.eye(r), scales=tuple(10 * (i + 1)
                                                          for i in range(r)),
-                          n_samples=1000, degree=1,
+                          n_samples=1000,
                           provenance=("exact", 0.7, 0.7))
 
 
@@ -33,7 +33,7 @@ def test_statistic_trivial_cases():
 
 def test_statistic_uses_covariance_diagonal():
     cov = NullCovariance(matrix=np.diag([4.0, 1.0]), scales=(10, 20),
-                         n_samples=400, degree=1,
+                         n_samples=400,
                          provenance=("exact", 0.7, 0.7))
     assert joint_statistic(np.array([4.0, 1.0]), cov, 2) == 1.0
 
@@ -49,7 +49,7 @@ def test_statistic_validation():
 def test_statistic_rows_match_vectors(rng):
     # A (replicates, r) matrix is scored row by row, bit for bit.
     c4 = NullCovariance(matrix=np.diag([1.0, 2.0, 0.5, 3.0]),
-                        scales=(10, 20, 40, 80), n_samples=1000, degree=1,
+                        scales=(10, 20, 40, 80), n_samples=1000,
                         provenance=("exact", 0.7, 0.7))
     rows = rng.standard_normal((50, 4))
     for kappa in (1, 2, 3, 4):
@@ -278,6 +278,16 @@ def test_stat_dcca_identical_series(tiny_table, rng):
     assert outcome.reject
     assert outcome.direction == "positive"
     assert outcome.p_value <= 1.0 / 150_000 + 1e-12
+
+
+def test_stat_dcca_refuses_a_table_of_another_degree(tiny_table, rng):
+    # A hand-built configuration whose scales are detrended at degree 2
+    # cannot use the degree-1 table's covariance.
+    y = rng.standard_normal((2, 4000))
+    pair = SeriesPair.from_increments(*y)
+    ss = make_scales(4000, 20, 200, 5, 2)
+    with pytest.raises(ValueError, match="degree 1, not 2"):
+        stat_dcca(pair, _test_config(ss), tiny_table)
 
 
 def test_stat_dcca_decision_invariances(tiny_table):
