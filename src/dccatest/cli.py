@@ -170,7 +170,7 @@ def _write_rows_csv(rows: list[dict], out_path: str | None,
 # ---------------------------------------------------------------------------
 
 def _build_report(outcome, table_name: str, table_checksum: str,
-                  seed: int, elapsed: float) -> dict:
+                  seed: int, elapsed: float, stage_s: dict) -> dict:
     fl = outcome.fluctuations
     cfg = outcome.config
     per_scale = []
@@ -214,6 +214,7 @@ def _build_report(outcome, table_name: str, table_checksum: str,
         },
         "warnings": list(outcome.warnings),
         "timing_s": elapsed,
+        "stage_s": stage_s,
     }
 
 
@@ -224,8 +225,9 @@ def cmd_analyze(args) -> int:
         a, _, b = args.columns.partition(",")
         columns = (int(a), int(b))
     pair = load_pair(args.file_a, args.file_b, columns)
-
+    t_load = time.perf_counter()
     table, table_name, checksum = _load_table(args.table)
+    t_table = time.perf_counter()
     degree = table.degree
     if args.scales:
         scale_set = _parse_scales_arg(args.scales, pair.n_samples, degree)
@@ -243,7 +245,10 @@ def cmd_analyze(args) -> int:
     )
     outcome = stat_dcca(pair, config, table)
     elapsed = time.perf_counter() - t_start
-    report = _build_report(outcome, table_name, checksum, args.seed, elapsed)
+    stage_s = {"load": t_load - t_start, "table": t_table - t_load,
+               **outcome.stage_s}
+    report = _build_report(outcome, table_name, checksum, args.seed, elapsed,
+                           stage_s)
 
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.out)

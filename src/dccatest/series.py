@@ -9,15 +9,27 @@ held by a :class:`ScaleSet`.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import BinaryIO
 
 import numpy as np
 
-_WRITE_ROWS = 1 << 16
+_WRITE_ROWS = 1 << 13
 # Decimal exponents k = floor(log10|v|) of the finite nonzero doubles,
 # and the powers 10^(16 - k) that scale |v| to 17 integer digits.
 _EXP_MIN, _EXP_MAX = -324, 308
+_READ_BYTES = 1 << 18
+# :func:`_read_e16` rounds through x87 extended precision: a 64-bit
+# significand in the low eight of sixteen little-endian bytes.
+_X87 = (np.finfo(np.longdouble).nmant == 63
+        and np.dtype(np.longdouble).itemsize == 16
+        and sys.byteorder == "little")
+# Decimal exponents the reader scales itself: even a token with 16
+# leading zero digits stays above the smallest normal double, 2.2e-308.
+_EXP_FAST = 290
 
 
 class InfeasibleScalesError(ValueError):
@@ -158,14 +170,24 @@ def _parse_columns(path: str) -> np.ndarray:
     """Read comma- or whitespace-separated numeric columns.
 
     '#' starts a comment and blank lines are ignored; a single
-    non-numeric line before the data is a header and is skipped.  numpy
-    reads the file after the header directly, splitting at commas if the
-    first data line has any; it converts each field as float() does.  A
-    comma file it rejects is read again without its whitespace-only and
+    non-numeric line before the data is a header and is skipped.  A
+    comma (or one-column) file whose data lines all hold tokens of the
+    writer's own '%.16e' shape, as many per line as the first, is read
+    in numpy by :func:`_read_e16` where numpy's long double is x87
+    extended precision (``_X87``), bit for bit as float() reads each
+    token: one extended multiplication scales the 17-digit integer by a
+    power of ten and lands within two units of the exact value, so it
+    rounds to the right double unless a double midpoint lies that close,
+    and float() reads those few tokens.  numpy's ``loadtxt`` reads any
+    other file after the header, splitting at commas if the first data
+    line has any; it converts each field as float() does.  A comma file
+    it rejects is read again without its whitespace-only and
     indented-comment lines, which numpy would take for one-field rows.
-    A file still rejected (a blank field, a line that splits differently
-    from the first, a bad value) is read by :func:`_parse_lines`, which
-    gives the same array or the error with its line number.
+    A file it still rejects (a blank field, a line that splits
+    differently from the first, a bad value), or that holds a byte
+    0x1c..0x1f (which numpy strips as whitespace and float() refuses),
+    is read by :func:`_parse_lines`, which gives the same array or the
+    error with its line number.
     """
     header = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -181,6 +203,14 @@ def _parse_columns(path: str) -> np.ndarray:
                 header = lineno
                 continue
             sep = "," if "," in line.partition("#")[0] else None
+            # One field splits alike at commas and at whitespace.
+            if _X87 and (sep or len(fields) == 1):
+                with open(path, "rb") as raw:
+                    data = _read_e16(raw, lineno, len(fields))
+                if data is not None:
+                    return data
+            if _holds_info_separator(path):
+                break
             try:
                 return np.loadtxt(path, delimiter=sep, comments="#",
                                   skiprows=header, ndmin=2,
@@ -199,6 +229,16 @@ def _parse_columns(path: str) -> np.ndarray:
             except ValueError:
                 break
     return _parse_lines(path)
+
+
+def _holds_info_separator(path: str) -> bool:
+    """Whether the file holds a byte 0x1c..0x1f: numpy strips those from
+    a field as whitespace, and float() rejects the field."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_READ_BYTES):
+            if any(bytes([c]) in chunk for c in range(0x1c, 0x20)):
+                return True
+    return False
 
 
 def _parse_lines(path: str) -> np.ndarray:
@@ -226,6 +266,132 @@ def _parse_lines(path: str) -> np.ndarray:
     if any(len(row) != width for row in rows):
         raise ValueError(f"{path}: inconsistent column count")
     return np.asarray(rows, dtype=float)
+
+
+def _digits8(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of the eight ASCII digits in each little-endian uint64,
+    by multiply-and-shift steps that join digits, then pairs, then
+    quads; and the mask of the words whose eight bytes are all digits."""
+    v = words - 0x3030303030303030
+    ok = (v | (v + 0x7676767676767676)) & 0x8080808080808080 == 0
+    v = (v * 2561) >> 8
+    v = ((v & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((v & 0x0000FFFF0000FFFF) * 42949672960001) >> 32, ok
+
+
+@cache
+def _pow10_x87() -> np.ndarray:
+    """10^(k - 16) rounded to nearest in x87 extended precision, row
+    k + _EXP_FAST for |k| <= _EXP_FAST: the scale of the 17 digits of a
+    token with exponent k."""
+    out = np.empty(2 * _EXP_FAST + 1, np.longdouble)
+    for row, q in enumerate(range(-_EXP_FAST - 16, _EXP_FAST - 15)):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        shift = 64 - num.bit_length() + den.bit_length()
+        while True:             # top: the 64 leading bits, rounded
+            n, d = (num << shift, den) if shift >= 0 else (num, den << -shift)
+            top = (2 * n + d) // (2 * d)
+            if top < 1 << 64:
+                break
+            shift -= 1
+        out[row] = np.ldexp(np.longdouble(top), -shift)
+    return out
+
+
+def _read_e16(fh: BinaryIO, lineno: int, width: int) -> np.ndarray | None:
+    """The rows of a binary file from line ``lineno`` on, when every line
+    there holds ``width`` tokens of the writer's shape
+    ``[-]d.dddddddddddddddde[+-]dd[d]`` separated by ',' and ended by
+    '\\n'; None for any other file, before or after reading it.
+
+    The data is read in chunks of ``_READ_BYTES`` cut at their last
+    newline.  Each token holds one 'e', so the 'e' bytes give every
+    token's bounds, and the chunk is accepted only if those tokens tile
+    it and each byte has its place in the shape.  A token's 17 digits m
+    are exact in uint64, and its value is m * 10^q with q = exponent -
+    16.  One x87 multiplication of m by the nearest extended value of
+    10^q rounds twice, each time by at most half a unit of the 64-bit
+    significand relative to the value, so the product lies within two
+    units of m * 10^q.  It then rounds to the same double as m * 10^q
+    unless a double midpoint (low 11 bits 0x400) lies within those two
+    units: only such tokens, and those with an exponent beyond
+    +-_EXP_FAST, go to float().
+    """
+    lead = 24                   # the gathers below read up to 24 bytes back
+    for _ in range(lineno - 1):
+        # Text mode also ends a line at '\r': a prefix holding one would
+        # number its lines differently.
+        if b"\r" in fh.readline():
+            return None
+    begin = fh.tell()
+    size = fh.seek(0, os.SEEK_END) - begin
+    fh.seek(begin)
+    out = np.empty(size // 23 + 1)   # a token and its separator: >= 23 B
+    chunk = min(size, _READ_BYTES)
+    buf = bytearray(lead + chunk + 8)
+    view = np.frombuffer(buf, np.uint8)
+    # Byte i starts record i: the 32 bytes from the 'e' - 24 of a token
+    # to its 'e' + 7.
+    records = np.ndarray((len(buf) - 31,), np.dtype((np.void, 32)),
+                         buf, 0, (1,))
+    seps = np.full(chunk // 23 + width, ord(","), np.uint8)
+    seps[width - 1::width] = ord("\n")
+    pow10 = _pow10_x87()
+    pos = carry = 0
+    while got := fh.readinto(memoryview(buf)[lead + carry:-8]):
+        cut = buf.rfind(b"\n", lead, lead + carry + got) + 1
+        if not cut:
+            return None
+        e = np.flatnonzero(view[lead:cut] == ord("e"))
+        e += lead
+        k = len(e)
+        if not k or k % width or k * 23 > cut - lead:
+            return None
+        # Record byte j is the byte at 'e' - 24 + j: 5 is '-' or the
+        # previous separator, 6 the lead digit, 7 '.', 8..23 the
+        # fraction, 25 the exponent's sign, 26.. its digits and the
+        # separator.
+        rec = records[e - 24].view(np.uint8).reshape(k, 32)
+        words = rec.view(np.uint64)
+        neg = rec[:, 5] == ord("-")
+        first = rec[:, 6] - ord("0")
+        hi, ok = _digits8(words[:, 1])
+        lo, ok_lo = _digits8(words[:, 2])
+        ok &= ok_lo & (first < 10) & (rec[:, 7] == ord("."))
+        sign = rec[:, 25]
+        d2 = rec[:, 26] - ord("0")
+        d3 = rec[:, 27] - ord("0")
+        d4 = rec[:, 28] - ord("0")
+        three = d4 < 10
+        ok &= (np.maximum(d2, d3) < 10) \
+            & ((sign == ord("+")) | (sign == ord("-")))
+        ok &= np.where(three, rec[:, 29], rec[:, 28]) == seps[:k]
+        start = e - 18 - neg
+        stop = e + 4 + three
+        if not (ok.all() and start[0] == lead and stop[-1] == cut - 1
+                and np.array_equal(start[1:], stop[:-1] + 1)):
+            return None
+        exp = d2 * np.int16(10) + d3
+        exp = np.where(three, exp * 10 + d4, exp)
+        exp *= ord(",") - sign.view(np.int8)       # '+' 1, '-' -1
+        far = (exp + _EXP_FAST).view(np.uint16) > 2 * _EXP_FAST
+        exp[far] = 0            # any row: float() reads these tokens
+        x = (first * np.uint64(10 ** 16) + hi * 10 ** 8 + lo) \
+            .astype(np.longdouble)
+        x *= pow10[exp + _EXP_FAST]
+        low = x.view(np.uint64)[::2] & 0x7FF
+        slow = far | (low - (0x400 - 2) <= 4)
+        rows = out[pos:pos + k]
+        rows[...] = x
+        rows.view(np.uint64)[...] |= neg.astype(np.uint64) << 63
+        for j in np.flatnonzero(slow):
+            rows[j] = float(buf[start[j]:stop[j]])
+        pos += k
+        carry = lead + carry + got - cut
+        buf[lead:lead + carry] = buf[cut:cut + carry]
+    if carry or not pos:        # the last line has no '\n', or no line
+        return None
+    return out[:pos].reshape(-1, width)
 
 
 def _take_column(data: np.ndarray, col: int, path: str) -> np.ndarray:

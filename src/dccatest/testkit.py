@@ -20,6 +20,7 @@ resolution of the threshold.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,6 +46,11 @@ MIN_MC_SAMPLES = 100_000
 # mode; the covariance may be recomputed with a tighter range when the
 # exponents are known more precisely.
 AUTO_HURST_MARGIN = 0.1
+
+# The consecutive stages of :func:`stat_dcca` timed in ``stage_s``; the
+# statistic is timed with the null covariance.
+STAGES = ("fluctuations", "hurst", "null_cov", "pool", "threshold",
+          "p_value")
 
 
 def _factor_cov(matrix: np.ndarray) -> np.ndarray:
@@ -295,6 +301,7 @@ class TestOutcome:
     config: TestConfig
     discarded: np.ndarray
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    stage_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def decision(self) -> str:
@@ -334,10 +341,14 @@ def build_null_cov(config: TestConfig, n_samples: int, table: CovTable,
 def stat_dcca(pair: SeriesPair, config: TestConfig,
               table: CovTable) -> TestOutcome:
     """Run the full test: profiles, rho vector, null covariance,
-    statistic, threshold and conservative p-value."""
+    statistic, threshold and conservative p-value, timing each of the
+    consecutive STAGES."""
+    clock = [time.perf_counter()]
     fluct = fluctuation_analysis(pair, config.scale_set)
+    clock.append(time.perf_counter())
     est1 = hurst_estimate(fluct.f2_auto1, fluct.scales)
     est2 = hurst_estimate(fluct.f2_auto2, fluct.scales)
+    clock.append(time.perf_counter())
 
     notes = []
     if est1.h_hat < 0.55 and est2.h_hat < 0.55:
@@ -369,14 +380,18 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     counts = config.scale_set.window_counts(pair.n_samples)
     rho_sc = scaled_rho(fluct.rho, counts)
     t_obs = test_statistic(rho_sc, cov, kappa)
+    clock.append(time.perf_counter())
 
     pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples,
                             config.seed)
+    clock.append(time.perf_counter())
     theta_star = pool.threshold(config.level)
+    clock.append(time.perf_counter())
     p_value, p_stderr = pool.p_values(t_obs)
 
     reject = p_value <= config.level
     direction = statistic_direction(rho_sc, cov, kappa) if reject else "none"
+    clock.append(time.perf_counter())
     return TestOutcome(
         statistic=t_obs,
         threshold=theta_star,
@@ -393,4 +408,5 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         config=config,
         discarded=config.scale_set.discarded_samples(pair.n_samples),
         warnings=tuple(notes),
+        stage_s=dict(zip(STAGES, np.diff(clock).tolist())),
     )

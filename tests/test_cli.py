@@ -13,6 +13,7 @@ import pytest
 import dccatest
 from dccatest.asymptotics import load_covtab, save_covtab
 from dccatest.cli import DEFAULT_TABLE_RESOURCE, _mapper, main
+from dccatest.testkit import STAGES
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,21 @@ def test_analyze_report_round_trip(tmp_path, table_file):
     for row in per_scale:
         expected = np.sign(row["f2_cross"]) * np.log(abs(row["f2_cross"]))
         assert row["signlog_f2_cross"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_analyze_report_times_each_stage(tmp_path, table_file):
+    """stage_s names every stage of an analysis, and the stages, being
+    disjoint parts of it, sum to at most timing_s."""
+    data = _simulate(tmp_path)
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", data, "--scales", "20:200:5",
+                 "--table", table_file, "--mc-samples", "150000",
+                 "--hurst", "auto", "--out", out]) == 0
+    report = json.loads(open(out).read())
+    stages = report["stage_s"]
+    assert list(stages) == ["load", "table", *STAGES]
+    assert min(stages.values()) >= 0
+    assert sum(stages.values()) <= report["timing_s"]
 
 
 def test_analyze_reports_table_checksum(tmp_path, table_file):

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +204,11 @@ def test_load_pair_errors(tmp_path):
     "x,y\nu,v\n1,2\n",
     "x,y\n# c\n",
     ",,\n1,2\n",
+    "1,2\n3\x1c,4\n",
+    "1,2\n\x1f3,4\n",
+    "1,2\n3,4\x1d\n",
+    "1 2\n3\x1e 4\n",
+    "# \x1c\n1,2\n3,4\n",
 ])
 def test_parse_columns_matches_line_reader(tmp_path, text):
     """The numpy fast path and the line-by-line reader agree on every
@@ -324,3 +332,187 @@ def test_write_pair_token_is_percent_e16_and_round_trips(tmp_path_factory,
     assert tokens == ["%.16e" % v for v in values.tolist()]
     back = np.array([float(t) for t in tokens])
     assert back.tobytes() == values.tobytes()
+
+
+
+# -- the '%.16e' reader ------------------------------------------------------
+
+needs_x87 = pytest.mark.skipif(
+    not series._X87, reason="numpy's long double is not x87 extended")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a reader other than the '%.16e' one ran")
+
+
+@contextlib.contextmanager
+def _e16_reader_only():
+    """numpy's loadtxt and the line reader raise inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series.np, "loadtxt", _refuse)
+        mp.setattr(series, "_parse_lines", _refuse)
+        yield mp
+
+
+@needs_x87
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(0, 2 ** 64 - 1).map(_raw_double)
+                .filter(math.isfinite), min_size=4, max_size=40),
+       st.sampled_from([64, series._READ_BYTES]))
+def test_e16_reader_reads_write_pair_bit_for_bit(tmp_path_factory, values,
+                                                 read_bytes):
+    """A write_pair file reads back through the '%.16e' reader alone as
+    the doubles written, in one chunk or in chunks of 64 bytes (a chunk
+    boundary inside most rows)."""
+    values = np.array(values[:len(values) // 2 * 2])
+    path = tmp_path_factory.mktemp("e16") / "pair.csv"
+    write_pair(str(path), SeriesPair.from_increments(values[0::2],
+                                                     values[1::2]),
+               comment="two\nlines")
+    with _e16_reader_only() as mp:
+        mp.setattr(series, "_READ_BYTES", read_bytes)
+        got = _parse_columns(str(path))
+    assert got.tobytes() == values.reshape(-1, 2).tobytes()
+
+
+# Tokens the reader scales itself: +-0, a leading '0.' digit (m < 10^16)
+# and exponents from -290 to 290.
+_E16_SCALED = [
+    "0.0000000000000000e+00", "-0.0000000000000000e+00",
+    "0.0000000000001234e-05", "1.2345678901234567e+00",
+    "-9.8765432109876543e-21", "1.2345678901234567e+43",
+    "1.2345678901234567e+44", "-1.2345678901234567e-12",
+    "9.9999999999999999e+289", "1.0000000000000000e-290",
+]
+# Tokens it leaves to float(): x87 products one unit below, on and one
+# unit above a double midpoint (found by search among random 17-digit
+# tokens; each rounds the wrong way without the guard, see below), and
+# exponents beyond +-290: 3-digit ones, subnormals, the largest double.
+_E16_GUARDED = [
+    "9.3574295362898359e-07", "9.1098053274485895e-18",
+    "9.3567639494770363e-188",
+]
+_E16_FAR = [
+    "1.0000000000000000e+291", "-1.0000000000000000e-291",
+    "2.2250738585072009e-308", "-4.9406564584124654e-324",
+    "1.7976931348623157e+308", "1.0000000000000000e-320",
+]
+
+
+def _x87_unguarded(token: str) -> float:
+    """The reader's extended product for ``token`` rounded to a double
+    without the midpoint guard."""
+    mantissa, exponent = token.split("e")
+    m = np.longdouble(int(mantissa.replace(".", "")))
+    return float(m * series._pow10_x87()[int(exponent) + series._EXP_FAST])
+
+
+@needs_x87
+@pytest.mark.parametrize("width", [1, 3])
+def test_e16_reader_branches(tmp_path, monkeypatch, width):
+    """Each token reads as float() reads it; exactly the guarded and far
+    ones go to float(), and the guarded ones need the guard."""
+    tokens = _E16_SCALED + _E16_GUARDED + _E16_FAR
+    tokens += tokens[:-len(tokens) % width]     # whole rows
+    rows = [tokens[i:i + width] for i in range(0, len(tokens), width)]
+    path = tmp_path / "tokens.csv"
+    path.write_text("# tokens\n" + "".join(",".join(r) + "\n" for r in rows))
+    seen = []
+
+    def recorded(text):
+        if isinstance(text, bytearray):
+            seen.append(text.decode())
+        return float(text)
+
+    monkeypatch.setattr(series, "float", recorded, raising=False)
+    with _e16_reader_only() as mp:
+        mp.setattr(series, "_READ_BYTES", 100)
+        got = _parse_columns(str(path))
+    want = np.array([[float(t) for t in r] for r in rows])
+    assert got.tobytes() == want.tobytes()
+    assert set(seen) == set(_E16_GUARDED + _E16_FAR)
+    for token in _E16_GUARDED:
+        assert _x87_unguarded(token) != float(token)
+
+
+def test_pow10_x87_holds_the_nearest_extended_powers():
+    """Row k + 290 is 10^(k - 16) within half a unit of its 64-bit
+    significand."""
+    for row, p in enumerate(series._pow10_x87()):
+        exact = Fraction(10) ** (row - series._EXP_FAST - 16)
+        num, den = p.as_integer_ratio()
+        unit = Fraction(2) ** (math.floor(math.log2(exact)) - 63)
+        assert 2 * abs(Fraction(num, den) - exact) <= unit
+
+
+_E16_SMALL = (b"-1.5000000000000000e+00,3.2500000000000000e+100\n"
+              b"2.5000000000000000e-30,-0.0000000000000000e+00\n")
+
+
+@needs_x87
+def test_e16_reader_takes_no_mutation_the_line_reader_reads_otherwise(
+        tmp_path):
+    """Every truncation and every single-byte substitution of a small
+    writer file: the reader refuses it, or it gives the line reader's
+    array bit for bit.  Only digit-for-digit and exponent-sign
+    substitutions, and the truncation after the first row, keep the
+    shape."""
+    variants = [_E16_SMALL[:i] for i in range(len(_E16_SMALL))]
+    variants += [_E16_SMALL[:i] + bytes([b]) + _E16_SMALL[i + 1:]
+                 for i in range(len(_E16_SMALL)) for b in range(256)
+                 if b != _E16_SMALL[i]]
+    path = tmp_path / "m.csv"
+    accepted = 0
+    for data in variants:
+        got = series._read_e16(io.BytesIO(data), 1, 2)
+        if got is not None:
+            accepted += 1
+            path.write_bytes(data)
+            assert got.tobytes() == _parse_lines(str(path)).tobytes()
+    digits = sum(c in b"0123456789" for c in _E16_SMALL)
+    assert accepted == digits * 9 + 4 + 1
+
+
+@pytest.mark.parametrize("text, fast", [
+    (_E16_SMALL.replace(b"\n", b"\r\n"), False),
+    (_E16_SMALL[:-1], False),
+    (b"x,y\n" + _E16_SMALL, True),
+    (b"# c\n\n" + _E16_SMALL, True),
+    (_E16_SMALL.replace(b"\n", b" # c\n", 1), False),
+    (_E16_SMALL + b"# c\n", False),
+    (_E16_SMALL.replace(b"2.5", b"+2.5"), False),
+    (_E16_SMALL.replace(b"e-30", b"E-30"), False),
+    (_E16_SMALL.replace(b"\n", b",").rstrip(b",") + b"\n", True),
+    (_E16_SMALL.replace(b",", b"\n"), True),
+    (_E16_SMALL.replace(b"\n", b",9.0000000000000000e-01\n"), True),
+    (b"# c\r\n" + _E16_SMALL, False),
+])
+def test_parse_columns_reads_e16_variants_as_the_line_reader(
+        tmp_path, text, fast):
+    """Near-writer files read as the line reader reads them, the
+    writer-shaped ones (with a header, 1, 3 or 4 columns) through the
+    '%.16e' reader alone."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    expected = _parse_lines(str(path))
+    with _e16_reader_only() if fast and series._X87 \
+            else contextlib.nullcontext():
+        got = _parse_columns(str(path))
+    assert got.tobytes() == expected.tobytes()
+    assert got.shape == expected.shape
+
+
+def test_parse_columns_without_x87_reads_writer_files_as_before(
+        tmp_path, monkeypatch):
+    """With the extended-precision gate off the same files load bit for
+    bit through numpy's loadtxt, and the '%.16e' reader does not run."""
+    values = np.array(_E16_FIXED + [float(t) for t in _E16_GUARDED])
+    path = tmp_path / "pair.csv"
+    write_pair(str(path), SeriesPair.from_increments(values, -values),
+               comment="gate")
+    monkeypatch.setattr(series, "_X87", False)
+    monkeypatch.setattr(series, "_read_e16", _refuse)
+    monkeypatch.setattr(series, "_parse_lines", _refuse)
+    got = _parse_columns(str(path))
+    assert got.tobytes() == np.stack((values, -values), axis=1).tobytes()
