@@ -38,6 +38,7 @@ of interpolating, which keeps the result an upper envelope.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
@@ -545,30 +546,33 @@ _COVTAB_MAGIC = "covtab/1"
 
 
 def save_covtab(table: CovTable, path: str):
-    """Write a table as versioned structured text, 1e-12 round-trip safe."""
+    """Write a table as versioned structured text, 1e-12 round-trip safe:
+    header lines, then per array a ``block NAME d1 .. dk`` line and its
+    d1 * ... * d(k-1) rows, then ``end``.  The text replaces ``path``
+    only once written, so an interrupted save leaves the previous file.
+    """
     def fmt_row(row):
-        return " ".join(f"{v:.17g}" for v in np.atleast_1d(row))
+        return " ".join(f"{v:.17g}" for v in row)
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_COVTAB_MAGIC}\n")
-        fh.write(f"degree {table.degree}\n")
-        fh.write(f"n_tab {table.n_tab}\n")
-        fh.write(f"grid {fmt_row(table.grid)}\n")
-        fh.write(f"ratios {fmt_row(table.ratios)}\n")
-        nh, nq = len(table.grid), len(table.ratios)
-        fh.write(f"block variance {nh} {nh}\n")
-        for row in table.variance:
-            fh.write(fmt_row(row) + "\n")
-        fh.write(f"block correlation {nq} {nh} {nh}\n")
-        for q in range(nq):
-            for row in table.correlation[q]:
-                fh.write(fmt_row(row) + "\n")
-        fh.write(f"block auto_mean 1 {nh}\n")
-        fh.write(fmt_row(table.auto_mean) + "\n")
-        fh.write(f"block offsets {nh} {nh}\n")
-        for row in table.offsets_used:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-        fh.write("end\n")
+    blocks = (("variance", table.variance),
+              ("correlation", table.correlation),
+              ("auto_mean", table.auto_mean[None]),
+              ("offsets", table.offsets_used))
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(f"{_COVTAB_MAGIC}\ndegree {table.degree}\n"
+                     f"n_tab {table.n_tab}\ngrid {fmt_row(table.grid)}\n"
+                     f"ratios {fmt_row(table.ratios)}\n")
+            for name, block in blocks:
+                fh.write(f"block {name} {' '.join(map(str, block.shape))}\n")
+                for row in block.reshape(-1, block.shape[-1]):
+                    fh.write(fmt_row(row) + "\n")
+            fh.write("end\n")
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def load_covtab(path: str, allow_partial: bool = False) -> CovTable:
@@ -581,58 +585,56 @@ def load_covtab(path: str, allow_partial: bool = False) -> CovTable:
 
 def loads_covtab(text: str, allow_partial: bool = False,
                  label: str = "<string>") -> CovTable:
-    """Parse covtab/1 text (see :func:`load_covtab`)."""
-    path = label
+    """Parse covtab/1 text (see :func:`save_covtab`); a truncated or
+    malformed text raises a ValueError naming ``label`` and its line."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != _COVTAB_MAGIC:
-        raise ValueError(
-            f"{path}: not a {_COVTAB_MAGIC} file"
-            + (f" (found {lines[0].strip()!r})" if lines else "")
-        )
-    pos = 1
+    first = lines[0].strip() if lines else ""
+    if first != _COVTAB_MAGIC:
+        raise ValueError(f"{label}: not a {_COVTAB_MAGIC} file "
+                         f"(found {first!r})")
     header: dict[str, str] = {}
-    while pos < len(lines) and not lines[pos].startswith("block "):
-        key, _, val = lines[pos].partition(" ")
-        header[key] = val
-        pos += 1
-
-    def parse_rows(count):
-        nonlocal pos
-        rows = []
-        for _ in range(count):
-            rows.append([float(v) for v in lines[pos].split()])
-            pos += 1
-        return np.asarray(rows)
-
     blocks: dict[str, np.ndarray] = {}
-    while pos < len(lines) and lines[pos] != "end":
-        parts = lines[pos].split()
-        if parts[0] != "block":
-            raise ValueError(f"{path}: malformed block header {lines[pos]!r}")
-        name, dims = parts[1], [int(v) for v in parts[2:]]
-        pos += 1
-        if len(dims) == 2:
-            blocks[name] = parse_rows(dims[0]).reshape(dims)
-        elif len(dims) == 3:
-            blocks[name] = parse_rows(dims[0] * dims[1]).reshape(dims)
-        else:
-            raise ValueError(f"{path}: unsupported block rank {len(dims)}")
+    pos = 1                     # index of the line being read
     try:
-        table = CovTable(
-            degree=int(header["degree"]),
-            n_tab=int(header["n_tab"]),
-            grid=np.array([float(v) for v in header["grid"].split()]),
-            ratios=np.array([float(v) for v in header["ratios"].split()]),
-            variance=blocks["variance"],
-            correlation=blocks["correlation"],
-            auto_mean=blocks["auto_mean"][0],
-        )
+        while (line := lines[pos]) != "end":
+            key, _, val = line.partition(" ")
+            if key == "block":
+                name, *dims = val.split()
+                *outer, width = shape = [int(d) for d in dims]
+                block = np.empty((math.prod(outer), width))
+                for row in block:
+                    pos += 1
+                    row[:] = lines[pos].split()
+                blocks[name] = block.reshape(shape)
+            elif blocks:
+                raise ValueError(f"expected a block, found {line!r}")
+            else:
+                header[key] = val
+            pos += 1
+    except IndexError:
+        raise ValueError(f"{label}:{len(lines)}: the file ends before "
+                         "its 'end' line") from None
+    except (ValueError, MemoryError) as exc:   # MemoryError: a huge shape
+        raise ValueError(f"{label}:{pos + 1}: {exc}") from None
+    try:
+        grid, ratios = (np.array(header[key].split(), dtype=float)
+                        for key in ("grid", "ratios"))
+        nh, nq = len(grid), len(ratios)
+        if [blocks[name].shape for name in ("variance", "correlation",
+                                            "auto_mean")] \
+                != [(nh, nh), (nq, nh, nh), (1, nh)]:
+            raise ValueError("block shapes do not fit the grid and ratios")
+        table = CovTable(degree=int(header["degree"]),
+                         n_tab=int(header["n_tab"]), grid=grid,
+                         ratios=ratios, variance=blocks["variance"],
+                         correlation=blocks["correlation"],
+                         auto_mean=blocks["auto_mean"][0])
     except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
+        raise ValueError(f"{label}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
     if not allow_partial and not table.is_complete():
-        raise ValueError(
-            f"{path}: table contains untabulated (NaN) entries"
-        )
+        raise ValueError(f"{label}: table contains untabulated (NaN) entries")
     return table
 
 

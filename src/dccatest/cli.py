@@ -17,13 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
 from functools import partial
-from importlib import resources
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .testkit import TestConfig, stat_dcca
 from . import studies as studies_mod
 
 DEFAULT_TABLE_RESOURCE = "default_d1.covtab"
+_DEFAULT_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                   DEFAULT_TABLE_RESOURCE)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +59,9 @@ def _parse_scales_arg(value: str, n_samples: int, degree: int):
         ) from None
 
 
-def _parse_kappa(value: str, r: int) -> int | None:
+def _parse_kappa(value: str, r: int) -> int:
     if value == "r":
-        return None
+        return r
     if value == "r-1":
         if r < 2:
             raise ValueError("kappa=r-1 needs at least 2 scales")
@@ -86,14 +88,9 @@ def _parse_hurst(value: str) -> tuple:
 
 def _load_table(path: str | None) -> tuple[CovTable, str, str]:
     """Table plus its source name and SHA-256 checksum."""
-    if path is None:
-        name = f"builtin:{DEFAULT_TABLE_RESOURCE}"
-        raw = resources.files("dccatest").joinpath(
-            "data", DEFAULT_TABLE_RESOURCE).read_bytes()
-    else:
-        name = path
-        with open(path, "rb") as fh:
-            raw = fh.read()
+    name = f"builtin:{DEFAULT_TABLE_RESOURCE}" if path is None else path
+    with open(_DEFAULT_TABLE_PATH if path is None else path, "rb") as fh:
+        raw = fh.read()
     return loads_covtab(raw.decode("utf-8"), label=name), name, \
         hashlib.sha256(raw).hexdigest()
 
@@ -142,27 +139,22 @@ def _progress_printer(reports: int | None = None):
 
 
 def _emit(text: str, out_path: str | None):
+    """Write ``text`` to ``out_path``, or to stdout if there is none."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_rows_csv(rows: list[dict], out_path: str | None,
-                    header_comment: list[str] | None = None):
-    keys = list(rows[0].keys()) if rows else []
-    target = open(out_path, "w", newline="", encoding="utf-8") \
-        if out_path else sys.stdout
-    try:
-        for line in header_comment or []:
-            target.write(f"# {line}\n")
-        writer = csv.DictWriter(target, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out_path:
-            target.close()
+                    header_comment: list[str]):
+    text = io.StringIO()
+    text.writelines(f"# {line}\n" for line in header_comment)
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]) if rows else [])
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(text.getvalue(), out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def _build_report(outcome, table_name: str, table_checksum: str,
         "config": {
             "scales": [int(n) for n in cfg.scale_set.scales],
             "degree": cfg.scale_set.degree,
-            "kappa": cfg.effective_kappa,
+            "kappa": cfg.kappa,
             "level": cfg.level,
             "hurst_mode": list(outcome.config.hurst_mode),
             "mc_samples": cfg.mc_samples,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import BinaryIO
@@ -166,68 +167,71 @@ def _fields(line: str) -> list[str]:
     return line.split()
 
 
+def _data_lines(fh, path: str):
+    """(line number, text, values) of each line of ``fh`` with fields
+    (:func:`_fields`; blank and comment lines have none), read as float()
+    reads them.  One non-numeric line before the first data line is a
+    header and is skipped; any other raises the line-numbered error."""
+    header_allowed = True
+    for lineno, line in enumerate(fh, start=1):
+        fields = _fields(line)
+        if not fields:
+            continue
+        try:
+            values = [float(p) for p in fields]
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
+                continue
+            raise ValueError(f"{path}:{lineno}: could not parse numeric "
+                             "values") from None
+        header_allowed = False
+        yield lineno, line, values
+
+
 def _parse_columns(path: str) -> np.ndarray:
     """Read comma- or whitespace-separated numeric columns.
 
-    '#' starts a comment and blank lines are ignored; a single
-    non-numeric line before the data is a header and is skipped.  A
-    comma (or one-column) file whose data lines all hold tokens of the
-    writer's own '%.16e' shape, as many per line as the first, is read
-    in numpy by :func:`_read_e16` where numpy's long double is x87
-    extended precision (``_X87``), bit for bit as float() reads each
-    token: one extended multiplication scales the 17-digit integer by a
-    power of ten and lands within two units of the exact value, so it
-    rounds to the right double unless a double midpoint lies that close,
-    and float() reads those few tokens.  numpy's ``loadtxt`` reads any
-    other file after the header, splitting at commas if the first data
-    line has any; it converts each field as float() does.  A comma file
-    it rejects is read again without its whitespace-only and
-    indented-comment lines, which numpy would take for one-field rows.
-    A file it still rejects (a blank field, a line that splits
-    differently from the first, a bad value), or that holds a byte
-    0x1c..0x1f (which numpy strips as whitespace and float() refuses),
-    is read by :func:`_parse_lines`, which gives the same array or the
-    error with its line number.
+    The data lines are those of :func:`_data_lines`.  A comma (or
+    one-column) file whose data lines all hold tokens of the writer's
+    own '%.16e' shape, as many per line as the first, is read by
+    :func:`_read_e16` where numpy's long double is x87 extended precision
+    (``_X87``).  numpy's ``loadtxt`` reads any other file from its first
+    data line on, splitting at commas if that line has any; it converts
+    each field as float() does.  A comma file it rejects is read again
+    without its whitespace-only and indented-comment lines, which numpy
+    would take for one-field rows.  A file it still rejects (a blank
+    field, a line that splits differently from the first, a bad value),
+    or that holds a byte 0x1c..0x1f (which numpy strips as whitespace
+    and float() refuses), is read by :func:`_parse_lines`, which gives
+    the same array or the error with its line number.
     """
-    header = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = _fields(line)
-            if not fields:
-                continue
-            try:
-                [float(p) for p in fields]
-            except ValueError:
-                if header:
-                    break
-                header = lineno
-                continue
-            sep = "," if "," in line.partition("#")[0] else None
-            # One field splits alike at commas and at whitespace.
-            if _X87 and (sep or len(fields) == 1):
-                with open(path, "rb") as raw:
-                    data = _read_e16(raw, lineno, len(fields))
-                if data is not None:
-                    return data
-            if _holds_info_separator(path):
-                break
-            try:
-                return np.loadtxt(path, delimiter=sep, comments="#",
-                                  skiprows=header, ndmin=2,
-                                  encoding="utf-8")
-            except ValueError:
-                if sep is None:
-                    break
-            # With commas numpy reads a whitespace-only or indented-comment
-            # line as a one-field row: read again without such lines.
+        for lineno, line, values in _data_lines(fh, path):
+            break
+        else:
+            return _parse_lines(path)       # the error for no data
+        sep = "," if "," in line.partition("#")[0] else None
+        # One field splits alike at commas and at whitespace.
+        if _X87 and (sep or len(values) == 1):
+            with open(path, "rb") as raw:
+                data = _read_e16(raw, lineno, len(values))
+            if data is not None:
+                return data
+        if _holds_info_separator(path):
+            return _parse_lines(path)
+        with suppress(ValueError):
+            return np.loadtxt(path, delimiter=sep, comments="#",
+                              skiprows=lineno - 1, ndmin=2, encoding="utf-8")
+        if sep:
+            # numpy reads a whitespace-only or indented-comment line as a
+            # one-field row: read again without such lines.
             fh.seek(0)
             lines = (text for n, text in enumerate(fh, start=1)
-                     if n > header and text.partition("#")[0].strip())
-            try:
+                     if n >= lineno and text.partition("#")[0].strip())
+            with suppress(ValueError):
                 return np.loadtxt(lines, delimiter=",", comments="#",
                                   ndmin=2)
-            except ValueError:
-                break
     return _parse_lines(path)
 
 
@@ -242,28 +246,13 @@ def _holds_info_separator(path: str) -> bool:
 
 
 def _parse_lines(path: str) -> np.ndarray:
-    """Line-by-line reader behind :func:`_parse_columns`, with the same
-    fields per line (:func:`_fields`)."""
-    rows = []
-    header_seen = False
+    """Line-by-line reader behind :func:`_parse_columns`: the values of
+    :func:`_data_lines`, which must be as many on every line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = _fields(line)
-            if not parts:
-                continue
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if not rows and not header_seen:
-                    header_seen = True
-                    continue
-                raise ValueError(
-                    f"{path}:{lineno}: could not parse numeric values"
-                ) from None
+        rows = [values for _, _, values in _data_lines(fh, path)]
     if not rows:
         raise ValueError(f"{path}: no numeric data found")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError(f"{path}: inconsistent column count")
     return np.asarray(rows, dtype=float)
 
@@ -396,9 +385,8 @@ def _read_e16(fh: BinaryIO, lineno: int, width: int) -> np.ndarray | None:
 
 def _take_column(data: np.ndarray, col: int, path: str) -> np.ndarray:
     if not 1 <= col <= data.shape[1]:
-        raise ValueError(
-            f"{path}: column {col} requested but file has {data.shape[1]}"
-        )
+        raise ValueError(f"{path}: column {col} requested but file has "
+                         f"{data.shape[1]}")
     return data[:, col - 1]
 
 
@@ -412,20 +400,15 @@ def load_pair(path_a: str, path_b: str | None = None,
     """
     data_a = _parse_columns(path_a)
     if path_b is None:
-        col_a, col_b = columns if columns else (1, 2)
-        y1 = _take_column(data_a, col_a, path_a)
-        y2 = _take_column(data_a, col_b, path_a)
+        path_b, data_b, default = path_a, data_a, (1, 2)
     else:
-        col_a, col_b = columns if columns else (1, 1)
-        data_b = _parse_columns(path_b)
+        data_b, default = _parse_columns(path_b), (1, 1)
         if len(data_a) != len(data_b):
-            raise ValueError(
-                f"sample counts differ: {path_a} has {len(data_a)}, "
-                f"{path_b} has {len(data_b)}"
-            )
-        y1 = _take_column(data_a, col_a, path_a)
-        y2 = _take_column(data_b, col_b, path_b)
-    return SeriesPair.from_increments(y1, y2)
+            raise ValueError(f"sample counts differ: {path_a} has "
+                             f"{len(data_a)}, {path_b} has {len(data_b)}")
+    col_a, col_b = columns or default
+    return SeriesPair.from_increments(_take_column(data_a, col_a, path_a),
+                                      _take_column(data_b, col_b, path_b))
 
 
 @cache

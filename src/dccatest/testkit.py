@@ -258,7 +258,7 @@ class TestConfig:
 
     scale_set: ScaleSet
     level: float = 0.05
-    kappa: int | None = None          # None means kappa = r
+    kappa: int | None = None          # None is resolved to r
     hurst_mode: tuple = ("auto",)     # ("known", H, G) | ("range", hl, hh,
                                       #  gl, gh) | ("auto",)
     mc_samples: int = 1_000_000
@@ -267,17 +267,15 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
-        if self.kappa is not None and not 1 <= self.kappa <= self.scale_set.r:
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", self.scale_set.r)
+        if not 1 <= self.kappa <= self.scale_set.r:
             raise ValueError(f"kappa must lie in 1..{self.scale_set.r}")
         if self.mc_samples < MIN_MC_SAMPLES:
             raise ValueError(f"mc_samples must be >= {MIN_MC_SAMPLES}")
         mode = self.hurst_mode[0]
         if mode not in ("known", "range", "auto"):
             raise ValueError(f"unknown Hurst mode {mode!r}")
-
-    @property
-    def effective_kappa(self) -> int:
-        return self.scale_set.r if self.kappa is None else self.kappa
 
 
 @dataclass(frozen=True)
@@ -376,7 +374,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         notes.append(f"{len(below)} scale pairs lie below the table's "
                      f"smallest ratio {floor:.4g} (down to {min(below):.4g}) "
                      "and reuse its correlation")
-    kappa = config.effective_kappa
+    kappa = config.kappa
     counts = config.scale_set.window_counts(pair.n_samples)
     rho_sc = scaled_rho(fluct.rho, counts)
     t_obs = test_statistic(rho_sc, cov, kappa)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dccatest.asymptotics import (DEFAULT_GRID, DEFAULT_N_TAB,
                                   _far_sum, _hurwitz_scaled,
                                   f2_cross_scale_corr, f2_variance_limit,
                                   fluct_mean_exact, load_covtab,
+                                  loads_covtab,
                                   matches_tabulation, rho_null_cov,
                                   save_covtab, tabulate, tabulate_pair,
                                   worst_case_cov)
@@ -408,7 +411,6 @@ def test_covtab_rejects_bad_version(tmp_path):
 
 
 def test_covtab_rejects_partial_unless_allowed(tiny_table, tmp_path):
-    import dataclasses
     partial = dataclasses.replace(
         tiny_table, variance=tiny_table.variance.copy())
     partial.variance[0, 1] = np.nan
@@ -418,6 +420,95 @@ def test_covtab_rejects_partial_unless_allowed(tiny_table, tmp_path):
         load_covtab(path)
     loaded = load_covtab(path, allow_partial=True)
     assert np.isnan(loaded.variance[0, 1])
+
+
+def test_covtab_refuses_every_truncation_with_its_line(tiny_table,
+                                                     tmp_path):
+    # Every prefix of a table's text that stops short of its "end" line,
+    # inside a row or between rows, is refused with a ValueError naming
+    # the file and a line.
+    path = tmp_path / "t.covtab"
+    save_covtab(tiny_table, str(path))
+    text = path.read_text()
+    assert loads_covtab(text[:-1]).is_complete()
+    for cut in range(len("covtab/1"), len(text) - 1):
+        with pytest.raises(ValueError, match=r"^t\.covtab:\d+: "):
+            loads_covtab(text[:cut], label="t.covtab")
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(ValueError, match=f"^t.covtab:{len(lines) - 2}: "
+                       "the file ends before its 'end' line"):
+        loads_covtab("".join(lines[:-2]), label="t.covtab")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.1 oops 0.3\n", "could not convert string to float: 'oops'"),
+    ("0.1 0.2\n", "could not broadcast"),
+    ("0.1 0.2 0.3 0.4\n", "could not broadcast"),
+])
+def test_covtab_names_the_line_of_a_malformed_row(tiny_table, tmp_path,
+                                                  row, message):
+    path = tmp_path / "t.covtab"
+    save_covtab(tiny_table, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    at = lines.index("block correlation 6 3 3\n") + 4    # its fourth row
+    lines[at] = row
+    with pytest.raises(ValueError, match=f"^t.covtab:{at + 1}: {message}"):
+        loads_covtab("".join(lines), label="t.covtab")
+
+
+def test_covtab_refuses_misplaced_lines_and_unfitting_blocks(tiny_table,
+                                                            tmp_path):
+    path = tmp_path / "t.covtab"
+    save_covtab(tiny_table, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    at = lines.index("block correlation 6 3 3\n")
+    extra = lines[:at] + ["0.1 0.2 0.3\n"] + lines[at:]
+    with pytest.raises(ValueError, match=f"^t.covtab:{at + 1}: expected a "
+                       "block"):
+        loads_covtab("".join(extra), label="t.covtab")
+    at = lines.index("block variance 3 3\n")
+    huge = lines[:at] + ["block variance 3 300000000000\n"] + lines[at + 1:]
+    with pytest.raises(ValueError, match=f"^t.covtab:{at + 1}: "):
+        loads_covtab("".join(huge), label="t.covtab")
+    narrow = [("grid 0.5 0.7\n" if ln.startswith("grid ") else ln)
+              for ln in lines]
+    with pytest.raises(ValueError, match="^t.covtab: block shapes do not "
+                       "fit the grid and ratios"):
+        loads_covtab("".join(narrow), label="t.covtab")
+
+
+def test_covtab_interrupted_save_leaves_the_previous_file(tiny_table,
+                                                          tmp_path):
+    # A save that fails part-way, after the variance block, leaves the
+    # file it would have replaced as it was, and no other file.
+    class Interrupted(Exception):
+        pass
+
+    class Unwritable:
+        def __format__(self, spec):
+            raise Interrupted
+
+    path = tmp_path / "t.covtab"
+    save_covtab(tiny_table, str(path))
+    before = path.read_bytes()
+    correlation = tiny_table.correlation.astype(object)
+    correlation[2, 1, 1] = Unwritable()
+    with pytest.raises(Interrupted):
+        save_covtab(dataclasses.replace(tiny_table, correlation=correlation),
+                    str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.covtab"]
+    assert load_covtab(str(path)).is_complete()
+
+
+def test_shipped_table_saves_back_byte_for_byte(full_table, tmp_path):
+    import dccatest
+    from dccatest.cli import DEFAULT_TABLE_RESOURCE
+    shipped = os.path.join(os.path.dirname(dccatest.__file__), "data",
+                           DEFAULT_TABLE_RESOURCE)
+    path = tmp_path / "copy.covtab"
+    save_covtab(full_table, str(path))
+    assert path.read_bytes() == open(shipped, "rb").read()
 
 
 def test_ratio_lookup_snaps_toward_one(tiny_table):

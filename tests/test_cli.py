@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,36 @@ def test_tabulate_jobs_resume_on_new_grid_starts_fresh(tmp_path, capsys):
     assert load_covtab(serial).is_complete()
 
 
+def test_analyze_refuses_a_truncated_table(tmp_path, table_file, capsys):
+    # A table cut short is an input error that names the file and the
+    # line, not an uncaught exception.
+    text = open(table_file).read()
+    cut = tmp_path / "cut.covtab"
+    cut.write_text(text[:len(text) // 2])
+    pair = _simulate(tmp_path)
+    assert main(["analyze", pair, "--table", str(cut)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"^error: {re.escape(str(cut))}:\d+: ", err), err
+
+
+def test_tabulate_resume_starts_fresh_on_a_truncated_table(tmp_path,
+                                                           capsys):
+    # A table cut short at the output path is not resumed, and the run
+    # writes the table a fresh run writes.
+    common = ["--grid", "0.6:0.62:0.02", "--n-tab", "128",
+              "--ratios", "0.5,1.0"]
+    out = tmp_path / "t.covtab"
+    assert main(["tabulate", *common, "--out", str(out)]) == 0
+    whole = out.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    out.write_bytes(b"".join(lines[:len(lines) // 2]))
+    capsys.readouterr()
+    assert main(["tabulate", *common, "--resume", "--out", str(out)]) == 0
+    assert "no usable partial table found; starting fresh" in \
+        capsys.readouterr().out
+    assert out.read_bytes() == whole
+
+
 def test_mapper_workers_run_one_blas_thread(monkeypatch):
     # Each pool worker runs one BLAS thread, so --jobs does not
     # oversubscribe the cores; the parent's environment comes back.
@@ -340,6 +371,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_skips_importlib_resources():
+    # Without the interpreter's site hooks, which may import it on their
+    # own, importing the CLI does not load importlib.resources.
+    src = Path(__file__).resolve().parents[1] / "src"
+    numpy_home = Path(np.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{numpy_home}")
+    probe = ("import sys, dccatest.cli; "
+             "print('importlib.resources' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_study_power_plumbing(tmp_path, table_file):
@@ -381,6 +425,17 @@ def test_study_stdout_is_csv_only(capsys):
     for row in rows[1:]:
         assert len(row) == 4 and 0.0 < float(row[2]) <= 1.0
     assert "[40/40]" in captured.err and "ETA" in captured.err
+
+
+def test_study_jobs_2_writes_the_serial_csv(tmp_path):
+    # Replicates run in a process pool give the serial study's CSV.
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["study", "--study", "calibration", "--replicates", "40",
+                     "--N", "2000", "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_study_bad_rhos_is_usage_error(tmp_path):
