@@ -424,15 +424,15 @@ class CovTable:
         idx = int(np.searchsorted(sub, ratio - 1e-12, side="left"))
         return min(idx, len(sub) - 1)
 
-    def node_indices(self, low: float, high: float) -> np.ndarray:
-        """Grid node indices covering [low, high], widened outward."""
-        lo = max(min(low, self.grid_max), self.grid_min)
-        hi = max(min(high, self.grid_max), self.grid_min)
-        i0 = int(np.searchsorted(self.grid, lo + 1e-12, side="right") - 1)
+    def cover(self, low: float,
+              high: float) -> tuple[np.ndarray, float, float]:
+        """Grid nodes covering [low, high] cut to the grid, widened
+        outward to the nearest nodes, and the cut bounds."""
+        lo = min(max(low, self.grid_min), self.grid_max)
+        hi = min(max(high, self.grid_min), self.grid_max)
+        i0 = int(np.searchsorted(self.grid, lo + 1e-12, side="right")) - 1
         i1 = int(np.searchsorted(self.grid, hi - 1e-12, side="left"))
-        i0 = min(max(i0, 0), len(self.grid) - 1)
-        i1 = min(max(i1, 0), len(self.grid) - 1)
-        return np.arange(i0, i1 + 1)
+        return np.arange(i0, i1 + 1), lo, hi
 
 
 def ratio_window_sizes(n_tab: int, ratios, degree: int) -> list[int]:
@@ -647,13 +647,15 @@ class NullCovariance:
     """Covariance of (sqrt([N/n_i]) rho(n_i))_i under independence.
 
     ``provenance`` records whether the matrix is the exact-(H, G) limit
-    or the worst case over a Hurst range.
+    or the worst case over the Hurst range the table covers; ``notes``
+    name the approximations of the table's coverage.
     """
 
     matrix: np.ndarray
     scales: tuple[int, ...]
     n_samples: int
     provenance: tuple
+    notes: tuple[str, ...] = ()
 
     @property
     def r(self) -> int:
@@ -703,24 +705,32 @@ def _scaled_rho_variance(n: int, hurst1: float, hurst2: float,
 
 
 def _assemble_null_cov(scales, n_samples: int, table: CovTable, variance,
-                       correlation, what: str,
-                       provenance: tuple) -> NullCovariance:
+                       correlation, what: str, provenance: tuple,
+                       notes=()) -> NullCovariance:
     """Null covariance with diagonal ``variance(n)`` per scale and each
     off-diagonal ``correlation(q)`` at the pair's tabulated ratio index q
-    times the geometric mean of the two variances."""
+    times the geometric mean of the two variances; the pairs below the
+    table's smallest ratio are noted after ``notes``."""
     scales = tuple(int(n) for n in scales)
     diag = np.array([variance(n) for n in scales])
     mat = np.diag(diag)
     # Many pairs share a ratio index: look each one up once.
     correlation = cache(correlation)
+    floor, below = float(table.ratios[0]), []
     for i in range(len(scales)):
         for j in range(i + 1, len(scales)):
             ratio = min(scales[i], scales[j]) / max(scales[i], scales[j])
+            if ratio < floor - 1e-12:
+                below.append(ratio)
             corr = correlation(table.ratio_index(ratio))
             mat[i, j] = mat[j, i] = corr * math.sqrt(diag[i] * diag[j])
     _validate_null_cov(mat, what)
+    if below:
+        notes = (*notes, f"{len(below)} scale pairs lie below the table's "
+                 f"smallest ratio {floor:.4g} (down to {min(below):.4g}) "
+                 "and reuse its correlation")
     return NullCovariance(matrix=mat, scales=scales, n_samples=n_samples,
-                          provenance=provenance)
+                          provenance=provenance, notes=tuple(notes))
 
 
 def rho_null_cov(scales, n_samples: int, hurst1: float, hurst2: float,
@@ -744,22 +754,26 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
                    table: CovTable) -> NullCovariance:
     """Worst-case null covariance over a Hurst rectangle.
 
-    Diagonal entries are the maxima of the per-scale variances over the
-    grid nodes covering the ranges; off-diagonal correlations are the
-    node-wise maxima, so the result dominates every exact covariance in
-    range entrywise on variances and correlations.
+    Each range is cut to the table grid, once: the cut ranges make up
+    the provenance, and a note names each cut.  Diagonal entries are the
+    maxima of the per-scale variances over the grid nodes covering the
+    cut ranges; off-diagonal correlations are the node-wise maxima, so
+    the result dominates every exact covariance over the covered ranges
+    entrywise on variances and correlations.
     """
-    h_low, h_high = (float(v) for v in hurst1_range)
-    g_low, g_high = (float(v) for v in hurst2_range)
-    if not (0.5 <= h_low <= h_high < 1.0 and 0.5 <= g_low <= g_high < 1.0):
-        raise ValueError("Hurst ranges must satisfy 0.5 <= low <= high < 1")
-    h_nodes = table.node_indices(h_low, h_high)
-    g_nodes = table.node_indices(g_low, g_high)
-    if h_nodes.size == 0 or g_nodes.size == 0:
-        raise ValueError("Hurst range does not intersect the table grid")
+    nodes, covered, notes = [], [], []
+    for name, (low, high) in zip("HG", (hurst1_range, hurst2_range)):
+        if not 0.5 <= low <= high:
+            raise ValueError("Hurst ranges must satisfy 0.5 <= low <= high")
+        idx, lo, hi = table.cover(low, high)
+        if (lo, hi) != (low, high):
+            notes.append(f"{name} range [{low:.3f}, {high:.3f}] cut to the "
+                         f"table grid: [{lo:.3f}, {hi:.3f}]")
+        nodes.append(idx)
+        covered += [lo, hi]
 
     def in_range(block: np.ndarray) -> np.ndarray:
-        sub = block[np.ix_(h_nodes, g_nodes)]
+        sub = block[np.ix_(*nodes)]
         if np.isnan(sub).any():
             raise ValueError("tabulation incomplete inside Hurst range")
         return sub
@@ -770,9 +784,9 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
         return max(_scaled_rho_variance(n, float(table.grid[ih]),
                                         float(table.grid[ig]), table.degree,
                                         float(table.variance[ih, ig]))
-                   for ih in h_nodes for ig in g_nodes)
+                   for ih in nodes[0] for ig in nodes[1])
 
     return _assemble_null_cov(
         scales, n_samples, table, variance,
         lambda q: float(in_range(table.correlation[q]).max()),
-        "worst_case_cov", ("worst-case", h_low, h_high, g_low, g_high))
+        "worst_case_cov", ("worst-case", *covered), notes)

@@ -44,8 +44,6 @@ def poly_basis(n: int, degree: int) -> np.ndarray:
 def _window_residuals(x: np.ndarray, n: int, degree: int) -> np.ndarray:
     """Residual matrix ([N/n] x n) of all complete windows of a profile."""
     m = len(x) // n
-    if m < 1:
-        raise ValueError(f"scale {n} infeasible for series of length {len(x)}")
     w = x[: m * n].reshape(m, n)
     basis = poly_basis(n, degree)
     return w - (w @ basis) @ basis.T

@@ -198,13 +198,13 @@ def _parse_columns(path: str) -> np.ndarray:
     :func:`_read_e16` where numpy's long double is x87 extended precision
     (``_X87``).  numpy's ``loadtxt`` reads any other file from its first
     data line on, splitting at commas if that line has any; it converts
-    each field as float() does.  A comma file it rejects is read again
-    without its whitespace-only and indented-comment lines, which numpy
-    would take for one-field rows.  A file it still rejects (a blank
-    field, a line that splits differently from the first, a bad value),
-    or that holds a byte 0x1c..0x1f (which numpy strips as whitespace
-    and float() refuses), is read by :func:`_parse_lines`, which gives
-    the same array or the error with its line number.
+    each field as float() does.  A file it rejects (a blank field, a
+    line that splits differently from the first, a bad value; in a
+    comma file also a whitespace-only or indented-comment line, which
+    numpy takes for a one-field row), or that holds a byte 0x1c..0x1f
+    (which numpy strips as whitespace and float() refuses), is read by
+    :func:`_parse_lines`, which gives the same array or the error with
+    its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line, values in _data_lines(fh, path):
@@ -223,15 +223,6 @@ def _parse_columns(path: str) -> np.ndarray:
         with suppress(ValueError):
             return np.loadtxt(path, delimiter=sep, comments="#",
                               skiprows=lineno - 1, ndmin=2, encoding="utf-8")
-        if sep:
-            # numpy reads a whitespace-only or indented-comment line as a
-            # one-field row: read again without such lines.
-            fh.seek(0)
-            lines = (text for n, text in enumerate(fh, start=1)
-                     if n >= lineno and text.partition("#")[0].strip())
-            with suppress(ValueError):
-                return np.loadtxt(lines, delimiter=",", comments="#",
-                                  ndmin=2)
     return _parse_lines(path)
 
 

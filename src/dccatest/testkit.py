@@ -276,6 +276,11 @@ class TestConfig:
         mode = self.hurst_mode[0]
         if mode not in ("known", "range", "auto"):
             raise ValueError(f"unknown Hurst mode {mode!r}")
+        ranges = (self.hurst_mode[1:3], self.hurst_mode[3:5])
+        if mode == "range" and not all(0.5 <= lo <= hi < 1.0
+                                       for lo, hi in ranges):
+            raise ValueError("Hurst ranges must satisfy 0.5 <= low <= high"
+                             " < 1")
 
 
 @dataclass(frozen=True)
@@ -306,14 +311,6 @@ class TestOutcome:
         return "reject" if self.reject else "not-reject"
 
 
-def _hurst_range(est: HurstEstimate, table: CovTable) -> tuple[float, float]:
-    lo = min(max(est.h_hat - AUTO_HURST_MARGIN, table.grid_min),
-             table.grid_max)
-    hi = min(max(est.h_hat + AUTO_HURST_MARGIN, table.grid_min),
-             table.grid_max)
-    return lo, hi
-
-
 def build_null_cov(config: TestConfig, n_samples: int, table: CovTable,
                    est1: HurstEstimate | None = None,
                    est2: HurstEstimate | None = None) -> NullCovariance:
@@ -328,12 +325,15 @@ def build_null_cov(config: TestConfig, n_samples: int, table: CovTable,
         _, h, g = config.hurst_mode
         return rho_null_cov(scales, n_samples, h, g, table)
     if mode == "range":
-        _, hl, hh, gl, gh = config.hurst_mode
-        return worst_case_cov(scales, n_samples, (hl, hh), (gl, gh), table)
+        return worst_case_cov(scales, n_samples, config.hurst_mode[1:3],
+                              config.hurst_mode[3:5], table)
     if est1 is None or est2 is None:
         raise ValueError("auto Hurst mode needs DFA estimates")
-    return worst_case_cov(scales, n_samples, _hurst_range(est1, table),
-                          _hurst_range(est2, table), table)
+    # Ends below 0.5, the model's floor, are raised to it without a note.
+    return worst_case_cov(scales, n_samples, *[
+        (max(est.h_hat - AUTO_HURST_MARGIN, 0.5),
+         max(est.h_hat + AUTO_HURST_MARGIN, 0.5)) for est in (est1, est2)],
+        table)
 
 
 def stat_dcca(pair: SeriesPair, config: TestConfig,
@@ -357,23 +357,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         )
 
     cov = build_null_cov(config, pair.n_samples, table, est1, est2)
-    if config.hurst_mode[0] == "auto":
-        used = cov.provenance[1:]
-        for name, est, lo, hi in zip("HG", (est1, est2), used[::2],
-                                     used[1::2]):
-            want = (est.h_hat - AUTO_HURST_MARGIN,
-                    est.h_hat + AUTO_HURST_MARGIN)
-            # A lower cut at 0.5, the model's own floor, is not reported.
-            if hi != want[1] or lo not in (want[0], 0.5):
-                notes.append(f"{name} range [{want[0]:.3f}, {want[1]:.3f}] "
-                             f"cut to the table grid: [{lo:.3f}, {hi:.3f}]")
-    floor = float(table.ratios[0])
-    below = [a / b for i, a in enumerate(cov.scales)
-             for b in cov.scales[i + 1:] if a / b < floor - 1e-12]
-    if below:
-        notes.append(f"{len(below)} scale pairs lie below the table's "
-                     f"smallest ratio {floor:.4g} (down to {min(below):.4g}) "
-                     "and reuse its correlation")
+    notes.extend(cov.notes)
     kappa = config.kappa
     counts = config.scale_set.window_counts(pair.n_samples)
     rho_sc = scaled_rho(fluct.rho, counts)

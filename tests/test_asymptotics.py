@@ -521,6 +521,38 @@ def test_ratio_lookup_snaps_toward_one(tiny_table):
     assert tab.ratio_index(0.001) == 0
 
 
+@st.composite
+def _grid_ranges(draw):
+    """A Hurst grid and a range whose ends lie on or off it."""
+    grid = np.array(sorted(draw(st.sets(st.integers(500, 990), min_size=1,
+                                        max_size=8)))) / 1000.0
+    ends = st.one_of(st.sampled_from(list(grid)), st.floats(0.3, 1.3))
+    low, high = sorted((draw(ends), draw(ends)))
+    return grid, low, high
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_grid_ranges())
+@example(case=(np.array(DEFAULT_GRID), 0.55, 0.99))
+def test_cover_cuts_a_range_to_the_grid(case):
+    # The covering nodes reach [lo, hi], the range cut to the grid, and at
+    # most one of them lies beyond it on either side.
+    grid, low, high = case
+    nh = len(grid)
+    table = CovTable(degree=1, n_tab=128, grid=grid, ratios=np.ones(1),
+                     variance=np.zeros((nh, nh)),
+                     correlation=np.zeros((1, nh, nh)),
+                     auto_mean=np.zeros(nh))
+    nodes, lo, hi = table.cover(low, high)
+    assert (lo, hi) == tuple(min(max(v, grid[0]), grid[-1])
+                             for v in (low, high))
+    assert nodes.size >= 1 and 0 <= nodes[0] and nodes[-1] < nh
+    assert np.array_equal(nodes, np.arange(nodes[0], nodes[-1] + 1))
+    assert grid[nodes[0]] <= lo + 1e-12 and grid[nodes[-1]] >= hi - 1e-12
+    assert np.sum(grid[nodes] < lo - 1e-12) <= 1
+    assert np.sum(grid[nodes] > hi + 1e-12) <= 1
+
+
 def test_rho_null_cov_structure(tiny_table):
     scales = (50, 158, 500)
     cov = rho_null_cov(scales, 10_000, 0.7, 0.8, tiny_table)

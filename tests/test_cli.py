@@ -254,6 +254,20 @@ def test_analyze_white_noise_warns(tmp_path, table_file, capsys):
     assert "0.55" in err and "warning" in err
 
 
+def test_analyze_range_reports_its_cut_to_the_grid(tmp_path, capsys):
+    # The shipped grid's top node is 0.98: the H range is cut there, the
+    # cut is named on stderr, and the provenance holds the covered range.
+    data = _simulate(tmp_path)
+    out = str(tmp_path / "rep.json")
+    assert main(["analyze", data, "--hurst", "range:0.55,0.99,0.7,0.9",
+                 "--mc-samples", "100000", "--out", out]) == 0
+    assert ("warning: H range [0.550, 0.990] cut to the table grid: "
+            "[0.550, 0.980]\n") in capsys.readouterr().err
+    report = json.loads(open(out).read())
+    assert report["outcome"]["covariance_provenance"] == [
+        "worst-case", 0.55, 0.98, 0.7, 0.9]
+
+
 def test_tabulate_tiny_grid_under_a_minute(tmp_path):
     import time
     t0 = time.perf_counter()

@@ -200,6 +200,7 @@ def test_load_pair_errors(tmp_path):
     "1,2\r\n3,4\r\n",
     "1\t2\r\n3\t4\r\n",
     "x,y\n# c\n\n# d\n1,2\n3,4\n",
+    "x,y\n1,2\n \t\n3,4 # c\n",
     "# c\nx y\n# d\n1 2\n",
     "x,y\nu,v\n1,2\n",
     "x,y\n# c\n",
@@ -224,26 +225,6 @@ def test_parse_columns_matches_line_reader(tmp_path, text):
     got = _parse_columns(str(path))
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("text", [
-    "1,2\n   # indented\n3,4\n",
-    "1 2\n\t# indented\n3 4\n",
-    "x,y\n1,2\n \t\n3,4 # c\n",
-])
-def test_parse_columns_skips_blank_looking_lines_in_numpy(tmp_path,
-                                                          monkeypatch, text):
-    """Whitespace-only and indented-comment lines keep a file off the
-    line-by-line reader, with the array it gives."""
-    path = tmp_path / "in.csv"
-    path.write_text(text)
-    expected = _parse_lines(str(path))
-
-    def refuse(path):
-        raise AssertionError("line-by-line reader used")
-
-    monkeypatch.setattr(series, "_parse_lines", refuse)
-    assert _parse_columns(str(path)).tobytes() == expected.tobytes()
 
 
 def test_parse_columns_matches_line_reader_on_random_digits(tmp_path, rng):

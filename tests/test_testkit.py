@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -442,3 +444,12 @@ def test_config_validation():
         TestConfig(scale_set=ss, mc_samples=1000)
     with pytest.raises(ValueError):
         TestConfig(scale_set=ss, hurst_mode=("sideways",))
+    # Both ranges must satisfy 0.5 <= low <= high < 1; the table grid is
+    # not consulted here.
+    for mode in (("range", 0.45, 0.7, 0.6, 0.8), ("range", 0.7, 0.6, 0.6, 0.8),
+                 ("range", 0.6, 0.8, 0.7, 1.0), ("range", 0.6, 0.8, 0.9, 0.8),
+                 ("range", 0.6, 0.8, 0.4, 0.8)):
+        with pytest.raises(ValueError, match=re.escape(
+                "Hurst ranges must satisfy 0.5 <= low <= high < 1")):
+            TestConfig(scale_set=ss, hurst_mode=mode)
+    TestConfig(scale_set=ss, hurst_mode=("range", 0.5, 0.5, 0.6, 0.999))
