@@ -331,8 +331,8 @@ class CovTable:
     ``correlation[q, i, j]`` the asymptotic correlation between
     F2_cross(n_tab) and F2_cross(round(ratio_q * n_tab));
     ``auto_mean[i]`` the scaled mean E F2_auto(n_tab) / n_tab^{2 H_i}.
-    Entries may be NaN in partially tabulated files; such tables load
-    only for resuming.  ``degree`` is the detrending degree of every
+    Every entry is finite: ``tabulate`` fills them all and the loader
+    refuses the rest.  ``degree`` is the detrending degree of every
     statistic the table serves; nothing else restates it.
     """
 
@@ -347,8 +347,8 @@ class CovTable:
     @property
     def offsets_used(self) -> np.ndarray:
         """Windows summed directly on either side of the zero offset per
-        variance limit: 1 where tabulated, 0 where NaN."""
-        return (~np.isnan(self.variance)).astype(int)
+        variance limit: 1 at every node."""
+        return np.ones(self.variance.shape, dtype=int)
 
     @property
     def grid_min(self) -> float:
@@ -357,11 +357,6 @@ class CovTable:
     @property
     def grid_max(self) -> float:
         return float(self.grid[-1])
-
-    def is_complete(self) -> bool:
-        return not (np.isnan(self.variance).any()
-                    or np.isnan(self.correlation).any()
-                    or np.isnan(self.auto_mean).any())
 
     # -- lookups -----------------------------------------------------------
 
@@ -388,10 +383,6 @@ class CovTable:
         i1 = min(i + 1, len(self.grid) - 1)
         j1 = min(j + 1, len(self.grid) - 1)
         sub = table2d[np.ix_((i, i1), (j, j1))]
-        if np.isnan(sub).any():
-            raise ValueError(
-                "tabulation incomplete near requested Hurst values"
-            )
         top = sub[0, 0] * (1 - wj) + sub[0, 1] * wj
         bot = sub[1, 0] * (1 - wj) + sub[1, 1] * wj
         return float(top * (1 - wi) + bot * wi)
@@ -462,30 +453,16 @@ def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int
     return var_sum / n_tab ** (2.0 * (h + g)), corrs
 
 
-def matches_tabulation(table: CovTable, grid, n_tab: int, ratios,
-                       degree: int) -> bool:
-    """Whether ``tabulate`` with these settings resumes from ``table``:
-    the same degree, n_tab, Hurst grid and realised window ratios."""
-    sizes = ratio_window_sizes(n_tab, ratios, degree)
-    return (table.degree == degree and table.n_tab == n_tab
-            and np.array_equal(table.grid, sorted(set(float(h)
-                                                      for h in grid)))
-            and np.array_equal(table.ratios, [s / n_tab for s in sizes]))
-
-
 def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
              ratios=DEFAULT_RATIOS, degree: int = 1,
-             resume_from: CovTable | None = None,
-             progress=None, checkpoint=None, mapper=map) -> CovTable:
+             progress=None, mapper=map) -> CovTable:
     """Tabulate variance limits, ratio correlations and scaled means.
 
     The (H, G) sweep exploits symmetry of the cross statistics, filling
-    both triangles from one computation.  ``resume_from`` supplies a
-    partially filled table whose finite entries are kept; ``progress``
-    is an optional callback(done, total, h, g); ``checkpoint`` receives
-    a snapshot table after each newly computed entry.  The missing
-    entries are computed by ``mapper(fn, hs, gs)``, the built-in ``map``
-    or any order-preserving replacement such as a process pool's.
+    both triangles from one computation.  ``progress`` is an optional
+    callback(done, total, h, g).  The entries are computed by
+    ``mapper(fn, hs, gs)``, the built-in ``map`` or any order-preserving
+    replacement such as a process pool's.
     """
     grid = np.asarray(sorted(set(float(h) for h in grid)))
     if len(grid) < 1 or grid[0] < 0.5 - 1e-12 or grid[-1] >= 1.0:
@@ -496,46 +473,24 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
     _check_convergence(float(grid[-1]), float(grid[-1]), degree)
 
     sizes = ratio_window_sizes(n_tab, ratios, degree)
-    ratio_vals = np.array([s / n_tab for s in sizes])
-
-    nh, nq = len(grid), len(sizes)
-    if resume_from is not None and matches_tabulation(resume_from, grid,
-                                                      n_tab, ratios, degree):
-        variance = resume_from.variance.copy()
-        correlation = resume_from.correlation.copy()
-        auto_mean = resume_from.auto_mean.copy()
-    else:
-        variance = np.full((nh, nh), np.nan)
-        correlation = np.full((nq, nh, nh), np.nan)
-        auto_mean = np.full(nh, np.nan)
-
-    for i, h in enumerate(grid):
-        if np.isnan(auto_mean[i]):
-            auto_mean[i] = fluct_mean_exact(n_tab, float(h), degree) \
-                / n_tab ** (2.0 * h)
-
-    def snapshot() -> CovTable:
-        return CovTable(degree=degree, n_tab=n_tab, grid=grid,
-                        ratios=ratio_vals, variance=variance,
-                        correlation=correlation, auto_mean=auto_mean)
-
+    nh = len(grid)
+    variance = np.empty((nh, nh))
+    correlation = np.empty((len(sizes), nh, nh))
+    auto_mean = np.array([fluct_mean_exact(n_tab, float(h), degree)
+                          / n_tab ** (2.0 * h) for h in grid])
     pairs = [(i, j) for i in range(nh) for j in range(i, nh)]
-    todo = [k for k, (i, j) in enumerate(pairs)
-            if np.isnan(variance[i, j])
-            or np.isnan(correlation[:, i, j]).any()]
     work = partial(tabulate_pair, n_tab=n_tab, sizes=sizes, degree=degree)
-    results = mapper(work, [float(grid[pairs[k][0]]) for k in todo],
-                     [float(grid[pairs[k][1]]) for k in todo])
-    for k, (scaled_var, corrs) in zip(todo, results):
-        i, j = pairs[k]
+    results = mapper(work, [float(grid[i]) for i, _ in pairs],
+                     [float(grid[j]) for _, j in pairs])
+    for k, ((i, j), (scaled_var, corrs)) in enumerate(zip(pairs, results)):
         variance[i, j] = variance[j, i] = scaled_var
         correlation[:, i, j] = correlation[:, j, i] = corrs
         if progress is not None:
             progress(k + 1, len(pairs), float(grid[i]), float(grid[j]))
-        if checkpoint is not None:
-            checkpoint(snapshot())
-
-    return snapshot()
+    return CovTable(degree=degree, n_tab=n_tab, grid=grid,
+                    ratios=np.array([s / n_tab for s in sizes]),
+                    variance=variance, correlation=correlation,
+                    auto_mean=auto_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +530,17 @@ def save_covtab(table: CovTable, path: str):
             os.remove(part)
 
 
-def load_covtab(path: str, allow_partial: bool = False) -> CovTable:
-    """Load a covtab/1 file; rejects other versions and NaN entries
-    unless ``allow_partial`` (used by resumable tabulation)."""
+def load_covtab(path: str) -> CovTable:
+    """Load a covtab/1 file; rejects other versions and non-finite
+    entries."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_covtab(fh.read(), allow_partial=allow_partial,
-                            label=path)
+        return loads_covtab(fh.read(), label=path)
 
 
-def loads_covtab(text: str, allow_partial: bool = False,
-                 label: str = "<string>") -> CovTable:
+def loads_covtab(text: str, label: str = "<string>") -> CovTable:
     """Parse covtab/1 text (see :func:`save_covtab`); a truncated or
-    malformed text raises a ValueError naming ``label`` and its line."""
+    malformed text raises a ValueError naming ``label`` and its line,
+    and so does a NaN or infinite entry."""
     lines = text.splitlines()
     first = lines[0].strip() if lines else ""
     if first != _COVTAB_MAGIC:
@@ -633,8 +587,9 @@ def loads_covtab(text: str, allow_partial: bool = False,
         raise ValueError(f"{label}: missing field {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from None
-    if not allow_partial and not table.is_complete():
-        raise ValueError(f"{label}: table contains untabulated (NaN) entries")
+    if not all(np.isfinite(block).all() for block in (
+            table.variance, table.correlation, table.auto_mean)):
+        raise ValueError(f"{label}: table contains NaN or infinite entries")
     return table
 
 
@@ -772,14 +727,6 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
         nodes.append(idx)
         covered += [lo, hi]
 
-    def in_range(block: np.ndarray) -> np.ndarray:
-        sub = block[np.ix_(*nodes)]
-        if np.isnan(sub).any():
-            raise ValueError("tabulation incomplete inside Hurst range")
-        return sub
-
-    in_range(table.variance)
-
     def variance(n: int) -> float:
         return max(_scaled_rho_variance(n, float(table.grid[ih]),
                                         float(table.grid[ig]), table.degree,
@@ -788,5 +735,5 @@ def worst_case_cov(scales, n_samples: int, hurst1_range, hurst2_range,
 
     return _assemble_null_cov(
         scales, n_samples, table, variance,
-        lambda q: float(in_range(table.correlation[q]).max()),
+        lambda q: float(table.correlation[q][np.ix_(*nodes)].max()),
         "worst_case_cov", ("worst-case", *covered), notes)

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (CovTable, DEFAULT_GRID, DEFAULT_N_TAB,
-                          DEFAULT_RATIOS, load_covtab, loads_covtab,
-                          matches_tabulation, save_covtab, tabulate)
+                          DEFAULT_RATIOS, loads_covtab, save_covtab,
+                          tabulate)
 from .fbm import FbmParams
 from .fluctuation import sign_log
 from .series import InfeasibleScalesError, load_pair, make_scales, write_pair
@@ -117,16 +117,13 @@ def _mapper(jobs: int, chunksize: int = 1):
 def _progress_printer(reports: int | None = None):
     """Progress callback(done, total, note="") writing "[done/total]
     note rate/s, ETA" to stderr, at every multiple of total // reports
-    if given.  The rate counts this run's calls, not resumed entries."""
+    if given; ``done`` counts the calls so far."""
     start = time.monotonic()
-    calls = 0
 
     def progress(done, total, note=""):
-        nonlocal calls
-        calls += 1
         if reports and done % max(1, total // reports):
             return
-        rate = calls / max(time.monotonic() - start, 1e-9)
+        rate = done / max(time.monotonic() - start, 1e-9)
         print(f"  [{done}/{total}]{note} {rate:.3g}/s, ETA "
               f"{(total - done) / rate:.0f} s", file=sys.stderr, flush=True)
 
@@ -300,36 +297,14 @@ def cmd_tabulate(args) -> int:
     grid = DEFAULT_GRID if args.grid is None else _parse_grid(args.grid)
     ratios = DEFAULT_RATIOS if args.ratios == "default" else \
         tuple(float(v) for v in args.ratios.split(","))
-    resume_from = None
-    if args.resume:
-        try:
-            resume_from = load_covtab(args.out, allow_partial=True)
-        except (OSError, ValueError):
-            pass
-        if resume_from is not None and matches_tabulation(
-                resume_from, grid, args.n_tab, ratios, args.degree):
-            done = int(np.sum(~np.isnan(resume_from.variance)))
-            print(f"resuming: {done} grid entries already tabulated")
-        else:
-            resume_from = None
-            print("no usable partial table found; starting fresh")
-
     report = _progress_printer()
 
     def progress(done, total, h, g):
         report(done, total, f" H={h:.2f} G={g:.2f}")
 
-    state = {"last_save": time.monotonic()}
-
-    def checkpoint(snapshot):
-        if time.monotonic() - state["last_save"] > 60:
-            save_covtab(snapshot, args.out)
-            state["last_save"] = time.monotonic()
-
     with _mapper(args.jobs) as mapper:
         table = tabulate(grid=grid, n_tab=args.n_tab, ratios=ratios,
-                         degree=args.degree, resume_from=resume_from,
-                         progress=progress, checkpoint=checkpoint,
+                         degree=args.degree, progress=progress,
                          mapper=mapper)
     save_covtab(table, args.out)
     print(f"wrote {args.out}")
@@ -438,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--ratios", default="default",
                     help="'default' or comma-separated values in (0,1]")
     pt.add_argument("--degree", type=int, default=1)
-    pt.add_argument("--resume", action="store_true")
     pt.add_argument("--jobs", type=int, default=1)
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=cmd_tabulate)

@@ -329,7 +329,8 @@ def build_null_cov(config: TestConfig, n_samples: int, table: CovTable,
                               config.hurst_mode[3:5], table)
     if est1 is None or est2 is None:
         raise ValueError("auto Hurst mode needs DFA estimates")
-    # Ends below 0.5, the model's floor, are raised to it without a note.
+    # Ends below 0.5, the model's floor, are raised to it; stat_dcca
+    # notes an estimate whose whole range lies below it.
     return worst_case_cov(scales, n_samples, *[
         (max(est.h_hat - AUTO_HURST_MARGIN, 0.5),
          max(est.h_hat + AUTO_HURST_MARGIN, 0.5)) for est in (est1, est2)],
@@ -343,6 +344,15 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     consecutive STAGES."""
     clock = [time.perf_counter()]
     fluct = fluctuation_analysis(pair, config.scale_set)
+    # rho divides by sqrt(F2_auto1 * F2_auto2); the product is finite
+    # only where both factors are.
+    finite = np.isfinite([fluct.f2_cross, fluct.f2_auto1 * fluct.f2_auto2]
+                         ).all(axis=0)
+    if not finite.all():
+        raise RuntimeError(
+            f"fluctuations at scale {fluct.scales[finite.argmin()]} "
+            "overflowed: the input magnitude is too large for double "
+            "precision")
     clock.append(time.perf_counter())
     est1 = hurst_estimate(fluct.f2_auto1, fluct.scales)
     est2 = hurst_estimate(fluct.f2_auto2, fluct.scales)
@@ -355,6 +365,11 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
             "below 0.55; the long-range-dependence premise of the test is "
             "doubtful for this pair"
         )
+    notes += [f"DFA estimate {name}={est.h_hat:.3f} lies more than "
+              f"{AUTO_HURST_MARGIN} below the model's floor 0.5; the null "
+              "covariance assumes an exponent of at least 0.5"
+              for name, est in (("H", est1), ("G", est2))
+              if est.h_hat + AUTO_HURST_MARGIN < 0.5]
 
     cov = build_null_cov(config, pair.n_samples, table, est1, est2)
     notes.extend(cov.notes)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from dccatest.asymptotics import (DEFAULT_GRID, DEFAULT_N_TAB,
                                   _far_sum, _hurwitz_scaled,
                                   f2_cross_scale_corr, f2_variance_limit,
                                   fluct_mean_exact, load_covtab,
-                                  loads_covtab,
-                                  matches_tabulation, rho_null_cov,
-                                  save_covtab, tabulate, tabulate_pair,
-                                  worst_case_cov)
+                                  loads_covtab, ratio_window_sizes,
+                                  rho_null_cov, save_covtab, tabulate,
+                                  tabulate_pair, worst_case_cov)
 from dccatest.fluctuation import poly_basis
 from oracles import cross_cov_reference, fbm_auto_cov, fluct_cov_exact
 
@@ -298,10 +298,13 @@ def test_shipped_table_matches_fresh_tabulation(full_table, h, g):
 
 
 def test_default_settings_rebuild_the_shipped_table(full_table):
-    # ``tabulate`` with no settings resumes from, that is rebuilds, the
-    # table that ships with the package.
-    assert matches_tabulation(full_table, DEFAULT_GRID, DEFAULT_N_TAB,
-                              DEFAULT_RATIOS, 1)
+    # ``tabulate`` with no settings builds the table that ships with the
+    # package: the same degree, n_tab, grid and realised ratios.
+    assert (full_table.degree, full_table.n_tab) == (1, DEFAULT_N_TAB)
+    assert np.array_equal(full_table.grid, DEFAULT_GRID)
+    sizes = ratio_window_sizes(DEFAULT_N_TAB, DEFAULT_RATIOS, 1)
+    assert np.array_equal(full_table.ratios,
+                          [s / DEFAULT_N_TAB for s in sizes])
 
 
 def test_binomial_gram_cache_holds_a_long_sweep():
@@ -358,9 +361,10 @@ def test_covtab_round_trip(tiny_table, tmp_path):
 
 @st.composite
 def _covtabs(draw):
-    """Tables of any shape, finite grids and entries that may be NaN."""
+    """Tables of any shape, finite grids and entries that may be NaN or
+    infinite."""
     nh, nq = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    entries = st.floats(allow_infinity=False)
+    entries = st.floats()
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return CovTable(
         degree=draw(st.integers(0, 5)), n_tab=draw(st.integers(128, 4096)),
@@ -374,21 +378,21 @@ def _covtabs(draw):
 @settings(max_examples=100, deadline=None)
 @given(table=_covtabs())
 def test_covtab_round_trip_property(table, tmp_path_factory):
-    # Every entry comes back bit for bit; a table with NaN entries loads
-    # only under allow_partial.
+    # A table with a NaN or infinite entry is refused; every other table
+    # comes back bit for bit.
     path = str(tmp_path_factory.mktemp("covtab") / "t.covtab")
     save_covtab(table, path)
-    if not table.is_complete():
-        with pytest.raises(ValueError, match="NaN"):
+    if not all(np.isfinite(block).all() for block in (
+            table.variance, table.correlation, table.auto_mean)):
+        with pytest.raises(ValueError, match="NaN or infinite"):
             load_covtab(path)
-    loaded = load_covtab(path, allow_partial=True)
+        return
+    loaded = load_covtab(path)
     for field in ("grid", "ratios", "variance", "correlation", "auto_mean",
                   "offsets_used"):
         a, b = getattr(table, field), getattr(loaded, field)
         assert a.shape == b.shape and a.dtype == b.dtype, field
-        assert np.array_equal(a, b, equal_nan=True), field
-    # The offsets block is written, but read back from the variances.
-    assert np.array_equal(loaded.offsets_used, ~np.isnan(table.variance))
+        assert np.array_equal(a, b), field
     assert (loaded.degree, loaded.n_tab) == (table.degree, table.n_tab)
 
 
@@ -410,16 +414,15 @@ def test_covtab_rejects_bad_version(tmp_path):
         load_covtab(str(path))
 
 
-def test_covtab_rejects_partial_unless_allowed(tiny_table, tmp_path):
-    partial = dataclasses.replace(
-        tiny_table, variance=tiny_table.variance.copy())
-    partial.variance[0, 1] = np.nan
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_covtab_rejects_non_finite_entries(tiny_table, tmp_path, value):
+    bad = dataclasses.replace(tiny_table, variance=tiny_table.variance.copy())
+    bad.variance[0, 1] = value
     path = str(tmp_path / "p.covtab")
-    save_covtab(partial, path)
-    with pytest.raises(ValueError, match="NaN"):
+    save_covtab(bad, path)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: table "
+                       "contains NaN or infinite entries"):
         load_covtab(path)
-    loaded = load_covtab(path, allow_partial=True)
-    assert np.isnan(loaded.variance[0, 1])
 
 
 def test_covtab_refuses_every_truncation_with_its_line(tiny_table,
@@ -430,7 +433,7 @@ def test_covtab_refuses_every_truncation_with_its_line(tiny_table,
     path = tmp_path / "t.covtab"
     save_covtab(tiny_table, str(path))
     text = path.read_text()
-    assert loads_covtab(text[:-1]).is_complete()
+    loads_covtab(text[:-1])
     for cut in range(len("covtab/1"), len(text) - 1):
         with pytest.raises(ValueError, match=r"^t\.covtab:\d+: "):
             loads_covtab(text[:cut], label="t.covtab")
@@ -498,7 +501,7 @@ def test_covtab_interrupted_save_leaves_the_previous_file(tiny_table,
                     str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t.covtab"]
-    assert load_covtab(str(path)).is_complete()
+    load_covtab(str(path))
 
 
 def test_shipped_table_saves_back_byte_for_byte(full_table, tmp_path):

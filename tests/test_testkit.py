@@ -336,6 +336,30 @@ def test_stat_dcca_white_noise_warning(tiny_table):
     assert any("0.55" in note for note in outcome.warnings)
 
 
+def test_stat_dcca_notes_an_estimate_far_below_the_floor(full_table):
+    # Differenced white noise (DFA H near 0) against the G series of a
+    # bfGn pair: every Hurst mode notes the estimate, which auto mode
+    # would otherwise raise to 0.5 without a word.
+    n_samples = 20_000
+    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=n_samples,
+                            params=FbmParams(hurst1=0.7, hurst2=0.8),
+                            seed=3))
+    white = np.random.default_rng(3).standard_normal(n_samples + 1)
+    pair = SeriesPair.from_increments(np.diff(white), pair.y2)
+    ss = make_scales(n_samples, 20, n_samples // 20, 10, 1)
+    for mode in (("known", 0.7, 0.8), ("range", 0.6, 0.8, 0.7, 0.9),
+                 ("auto",)):
+        outcome = stat_dcca(pair, _test_config(ss, hurst_mode=mode,
+                                               mc_samples=100_000),
+                            full_table)
+        assert outcome.hurst1.h_hat < 0.4 < 0.6 < outcome.hurst2.h_hat
+        notes = [note for note in outcome.warnings if "floor" in note]
+        assert notes == [f"DFA estimate H={outcome.hurst1.h_hat:.3f} lies "
+                         "more than 0.1 below the model's floor 0.5; the "
+                         "null covariance assumes an exponent of at least "
+                         "0.5"]
+
+
 def test_stat_dcca_reports_ratio_floor(tiny_table):
     # Scales 10, 23, 52, 117, 265, 600: three pairs (10/265, 10/600,
     # 23/600) lie below the table's smallest ratio 6/128 and reuse it.
