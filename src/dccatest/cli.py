@@ -206,8 +206,12 @@ def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
     columns = None
     if args.columns:
-        a, _, b = args.columns.partition(",")
-        columns = (int(a), int(b))
+        try:
+            a, b = (int(v) for v in args.columns.split(","))
+        except ValueError:
+            raise ValueError(f"--columns expects two integers A,B, got "
+                             f"{args.columns!r}") from None
+        columns = (a, b)
     pair = load_pair(args.file_a, args.file_b, columns)
     t_load = time.perf_counter()
     table, table_name, checksum = _load_table(args.table)
@@ -289,7 +293,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(value: str) -> np.ndarray:
-    lo, hi, step = (float(v) for v in value.split(":"))
+    try:
+        lo, hi, step = (float(v) for v in value.split(":"))
+        if not step > 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--grid expects MIN:MAX:STEP with STEP > 0, got "
+                         f"{value!r}") from None
     return np.round(np.arange(lo, hi + step / 2, step), 10)
 
 

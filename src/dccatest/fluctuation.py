@@ -49,19 +49,23 @@ def _window_residuals(x: np.ndarray, n: int, degree: int) -> np.ndarray:
     return w - (w @ basis) @ basis.T
 
 
-def rho_dcca(f2_cross: float, f2_auto1: float, f2_auto2: float) -> float:
-    """DCCA correlation coefficient; raises on zero or invalid inputs."""
-    if f2_auto1 <= 0 or f2_auto2 <= 0:
+def rho_dcca(f2_cross, f2_auto1, f2_auto2, scales=None):
+    """DCCA correlation coefficient, elementwise (a float for scalar
+    input); raises on zero or invalid inputs, naming the first breach
+    by its entry of ``scales`` where given."""
+    if np.min(f2_auto1) <= 0 or np.min(f2_auto2) <= 0:
         raise ValueError(
             "auto fluctuations must be positive (profile exactly polynomial "
             "in every window?)"
         )
     rho = f2_cross / np.sqrt(f2_auto1 * f2_auto2)
-    if abs(rho) > 1.0 + 1e-9:
-        raise RuntimeError(
-            f"rho={rho!r} violates the Cauchy-Schwarz bound; inputs corrupt"
-        )
-    return float(rho)
+    breach = np.ravel(np.abs(rho) > 1.0 + 1e-9)
+    if breach.any():
+        i = breach.argmax()
+        where = "" if scales is None else f" at scale {scales[i]}"
+        raise RuntimeError(f"rho={float(np.ravel(rho)[i])!r}{where} violates "
+                           "the Cauchy-Schwarz bound; inputs corrupt")
+    return rho if np.ndim(rho) else float(rho)
 
 
 def sign_log(value: float) -> float:
@@ -92,15 +96,25 @@ def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSe
     f2a1 = np.empty(scale_set.r)
     f2a2 = np.empty(scale_set.r)
     scale_set.window_counts(pair.n_samples)  # validates feasibility
-    for i, n in enumerate(scale_set.scales):
-        ra = _window_residuals(pair.x1, n, scale_set.degree)
-        rb = _window_residuals(pair.x2, n, scale_set.degree)
-        f2c[i] = np.sum(ra * rb) / ra.size
-        f2a1[i] = np.sum(ra * ra) / ra.size
-        f2a2[i] = np.sum(rb * rb) / rb.size
-    rho = np.array([
-        rho_dcca(c, a1, a2) for c, a1, a2 in zip(f2c, f2a1, f2a2)
-    ])
+    # rho divides by sqrt(F2_auto1 F2_auto2): positive factors must give
+    # a finite product that keeps double precision (a normal number).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, n in enumerate(scale_set.scales):
+            ra = _window_residuals(pair.x1, n, scale_set.degree)
+            rb = _window_residuals(pair.x2, n, scale_set.degree)
+            f2c[i] = np.sum(ra * rb) / ra.size
+            f2a1[i] = np.sum(ra * ra) / ra.size
+            f2a2[i] = np.sum(rb * rb) / rb.size
+        product = f2a1 * f2a2
+    over = ~(np.isfinite(f2c) & np.isfinite(product))
+    bad = over | ((product < np.finfo(float).tiny) & (f2a1 > 0) & (f2a2 > 0))
+    if bad.any():
+        i = bad.argmax()
+        flow, size = ("over", "large") if over[i] else ("under", "small")
+        raise RuntimeError(f"fluctuations at scale {scale_set.scales[i]} "
+                           f"{flow}flowed: the input magnitude is too {size} "
+                           "for double precision")
+    rho = rho_dcca(f2c, f2a1, f2a2, scale_set.scales)
     return FluctuationSet(scale_set=scale_set, f2_cross=f2c,
                           f2_auto1=f2a1, f2_auto2=f2a2, rho=rho)
 
@@ -111,8 +125,6 @@ class HurstEstimate:
 
     h_hat: float
     stderr: float
-    n_min: int
-    n_max: int
 
 
 def hurst_estimate(f2_auto: np.ndarray, scales: np.ndarray) -> HurstEstimate:
@@ -137,6 +149,4 @@ def hurst_estimate(f2_auto: np.ndarray, scales: np.ndarray) -> HurstEstimate:
     return HurstEstimate(
         h_hat=float(slope / 2.0),
         stderr=float(se_slope / 2.0),
-        n_min=int(scales[0]),
-        n_max=int(scales[-1]),
     )

@@ -160,10 +160,11 @@ def make_scales(n_samples: int, n_min: int, n_max: int, r: int,
 
 def _fields(line: str) -> list[str]:
     """A line's fields: the text before any '#', split at commas if it
-    has any, else at whitespace; blank fields are dropped."""
+    has any, else at whitespace; comma fields are stripped of the
+    whitespace the split at whitespace uses, and blank ones dropped."""
     line = line.partition("#")[0]
     if "," in line:
-        return [p for p in line.split(",") if p.strip()]
+        return [p for p in map(str.strip, line.split(",")) if p]
     return line.split()
 
 
@@ -201,10 +202,8 @@ def _parse_columns(path: str) -> np.ndarray:
     each field as float() does.  A file it rejects (a blank field, a
     line that splits differently from the first, a bad value; in a
     comma file also a whitespace-only or indented-comment line, which
-    numpy takes for a one-field row), or that holds a byte 0x1c..0x1f
-    (which numpy strips as whitespace and float() refuses), is read by
-    :func:`_parse_lines`, which gives the same array or the error with
-    its line number.
+    numpy takes for a one-field row) is read by :func:`_parse_lines`,
+    which gives the same array or the error with its line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line, values in _data_lines(fh, path):
@@ -218,22 +217,10 @@ def _parse_columns(path: str) -> np.ndarray:
                 data = _read_e16(raw, lineno, len(values))
             if data is not None:
                 return data
-        if _holds_info_separator(path):
-            return _parse_lines(path)
         with suppress(ValueError):
             return np.loadtxt(path, delimiter=sep, comments="#",
                               skiprows=lineno - 1, ndmin=2, encoding="utf-8")
     return _parse_lines(path)
-
-
-def _holds_info_separator(path: str) -> bool:
-    """Whether the file holds a byte 0x1c..0x1f: numpy strips those from
-    a field as whitespace, and float() rejects the field."""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_READ_BYTES):
-            if any(bytes([c]) in chunk for c in range(0x1c, 0x20)):
-                return True
-    return False
 
 
 def _parse_lines(path: str) -> np.ndarray:

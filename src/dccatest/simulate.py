@@ -286,24 +286,6 @@ def _signed_power_std(phi: float) -> float:
     return math.sqrt(2.0 ** phi * math.gamma(phi + 0.5) / math.sqrt(math.pi))
 
 
-@lru_cache(maxsize=4)
-def _fgn_filter_gains(n: int, hurst: float) -> tuple[int, np.ndarray]:
-    """Nonnegative circulant spectrum of fGn on a length >= 2n grid, on
-    its L/2 + 1 non-negative frequencies (the spectrum is symmetric);
-    cached and read-only like ``_circulant_root``."""
-    length = _embedding_length(n)
-    gain = np.sqrt(np.clip(_auto_spectrum(length, hurst), 0.0, None))
-    gain.setflags(write=False)
-    return length, gain
-
-
-def _fgn_filter(w: np.ndarray, n: int, hurst: float) -> np.ndarray:
-    """First n samples of the circular filtering of the length-L series
-    ``w`` by the fGn gain."""
-    length, gain = _fgn_filter_gains(n, hurst)
-    return np.fft.irfft(np.fft.rfft(w) * gain, length)[:n]
-
-
 def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     """Fractional noise with fGn second-order structure and a
     sign(g)|g|^phi marginal driving noise.
@@ -311,23 +293,21 @@ def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     The transformed white noise is passed through the linear circular
     filter whose gain matches the fGn spectrum, so lag covariances up to
     the series length are exact while higher-order statistics stay
-    non-Gaussian (positive excess kurtosis for phi > 1).  ``rho`` of the
-    parameters sets the correlation of the pre-transform Gaussian whites.
+    non-Gaussian (positive excess kurtosis for phi > 1).  The gains are
+    the diagonal of the bfGn root of an uncorrelated pair, whose cross
+    block is 0.  ``rho`` of the parameters sets the correlation of the
+    pre-transform Gaussian whites.
     """
     rng = replicate_rng(spec.seed, replicate)
     p = spec.params
-    sigma_w = _signed_power_std(spec.phi)
-
-    def one(hurst: float, white: np.ndarray) -> np.ndarray:
-        w = np.sign(white) * np.abs(white) ** spec.phi
-        return _fgn_filter(w, spec.n_samples, hurst) / sigma_w
-
-    length = _fgn_filter_gains(spec.n_samples, p.hurst1)[0]
-    g1 = rng.standard_normal(length)
-    g2 = p.rho * g1 + math.sqrt(1.0 - p.rho ** 2) * rng.standard_normal(length)
-    y1 = p.sigma1 * one(p.hurst1, g1)
-    y2 = p.sigma2 * one(p.hurst2, g2)
-    return SeriesPair.from_increments(y1, y2)
+    length, gain1, gain2, _ = _circulant_root(
+        spec.n_samples, FbmParams(hurst1=p.hurst1, hurst2=p.hurst2))
+    g = rng.standard_normal((2, length))
+    g[1] = p.rho * g[0] + math.sqrt(1.0 - p.rho ** 2) * g[1]
+    w = np.sign(g) * np.abs(g) ** spec.phi
+    y = np.fft.irfft(np.fft.rfft(w) * (gain1, gain2), length)
+    y = y[:, :spec.n_samples] / _signed_power_std(spec.phi)
+    return SeriesPair.from_increments(p.sigma1 * y[0], p.sigma2 * y[1])
 
 
 # ---------------------------------------------------------------------------

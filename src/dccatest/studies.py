@@ -56,6 +56,8 @@ def _rho_vectors(kind: str, params: FbmParams, n_samples: int, scale_set,
     ``mapper`` (the built-in ``map`` or a process pool's ``map``)
     reproduces the serial output exactly.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     counts = scale_set.window_counts(n_samples)
     spec = SimSpec(kind=kind, n_samples=n_samples, params=params, phi=phi,
                    seed=seed)

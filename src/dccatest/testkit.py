@@ -344,15 +344,6 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     consecutive STAGES."""
     clock = [time.perf_counter()]
     fluct = fluctuation_analysis(pair, config.scale_set)
-    # rho divides by sqrt(F2_auto1 * F2_auto2); the product is finite
-    # only where both factors are.
-    finite = np.isfinite([fluct.f2_cross, fluct.f2_auto1 * fluct.f2_auto2]
-                         ).all(axis=0)
-    if not finite.all():
-        raise RuntimeError(
-            f"fluctuations at scale {fluct.scales[finite.argmin()]} "
-            "overflowed: the input magnitude is too large for double "
-            "precision")
     clock.append(time.perf_counter())
     est1 = hurst_estimate(fluct.f2_auto1, fluct.scales)
     est2 = hurst_estimate(fluct.f2_auto2, fluct.scales)

@@ -53,11 +53,15 @@ def test_simulate_rejects_bad_rho(tmp_path):
 def test_simulate_refusal_names_embedding_not_process(tmp_path, capsys):
     """Above DENSE_N_CAP an existing process whose minimal circulant
     embedding is not PSD is refused as such, not called invalid; one
-    that does not exist is still called invalid."""
+    that does not exist is still called invalid.  Below the cap the
+    dense factor draws the first."""
     out = str(tmp_path / "x.csv")
-    code = main(["simulate", "--kind", "bfgn", "--N", "10000",
-                 "--H", "0.857", "--G", "0.911", "--rho", "0.249",
-                 "--eta", "0.315", "--out", out])
+    flags = ["--H", "0.857", "--G", "0.911", "--rho", "0.249",
+             "--eta", "0.315", "--out", out]
+    assert main(["simulate", "--kind", "bfgn", "--N", "1000", *flags]) == 0
+    os.remove(out)
+    capsys.readouterr()
+    code = main(["simulate", "--kind", "bfgn", "--N", "10000", *flags])
     err = capsys.readouterr().err
     assert code == 2
     assert "process exists" in err
@@ -222,6 +226,21 @@ def test_analyze_exit_codes(tmp_path, table_file):
                  "--hurst", "known:0.7"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "x.csv", "--columns", "1"], "--columns expects two"),
+    (["analyze", "x.csv", "--columns", "1,2,3"], "--columns expects two"),
+    (["analyze", "x.csv", "--columns", "a,b"], "--columns expects two"),
+    (["tabulate", "--grid", "0.6:0.8", "--out", "t.covtab"], "--grid"),
+    (["tabulate", "--grid", "0.6:0.8:0", "--out", "t.covtab"], "--grid"),
+    (["tabulate", "--grid", "0.6:0.8:-0.1", "--out", "t.covtab"], "--grid"),
+    (["tabulate", "--grid", "a:b:c", "--out", "t.covtab"], "--grid"),
+])
+def test_malformed_flags_are_usage_errors(capsys, argv, message):
+    # Refused before any file is read or written, naming the flag.
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("error, code, prefix", [
     (RuntimeError("covariance factorization failed"), 4, "internal error:"),
     (ValueError("bad input"), 2, "error:"),
@@ -314,22 +333,30 @@ def test_analyze_refuses_a_table_with_an_infinite_entry(tmp_path,
     assert "NaN or infinite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [(1e200, 1e200), (1e160, 1.0),
-                                   (1e100, 1e100)])
-def test_analyze_refuses_overflowing_fluctuations(tmp_path, capsys, scale):
+@pytest.mark.parametrize("scale, failure", [
+    ((1e200, 1e200), "overflowed: the input magnitude is too large"),
+    ((1e160, 1.0), "overflowed: the input magnitude is too large"),
+    ((1e100, 1e100), "overflowed: the input magnitude is too large"),
+    ((1e150, 1e150), "overflowed: the input magnitude is too large"),
+    ((1e-150, 1e-150), "underflowed: the input magnitude is too small"),
+])
+def test_analyze_refuses_overflowing_fluctuations(tmp_path, capsys, scale,
+                                                  failure):
     # Finite input whose fluctuations, or their product in rho, overflow
-    # is an internal error, never a decision: unchecked, (1e200, 1e200)
-    # rejects on a NaN statistic and the other two score rho = 0.
+    # or underflow is an internal error, never a decision: unchecked,
+    # (1e200, 1e200) rejects on a NaN statistic, (1e160, 1) and (1e100,
+    # 1e100) score rho = 0, and (1e-150, 1e-150) reads rho = inf.  The
+    # refusal is the only line on stderr, and numpy warns of nothing (the
+    # suite makes a RuntimeWarning an error).
     data = tmp_path / "big.csv"
     x = np.random.default_rng(0).standard_normal((5000, 2))
     np.savetxt(data, x * scale)
-    with pytest.warns(RuntimeWarning):       # numpy notes the overflow
-        assert main(["analyze", str(data), "--hurst", "known:0.7,0.8",
-                     "--mc-samples", "100000"]) == 4
+    assert main(["analyze", str(data), "--hurst", "known:0.7,0.8",
+                 "--mc-samples", "100000"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: fluctuations at scale 20 "
-                          "overflowed")
+    assert err == (f"internal error: fluctuations at scale 20 {failure} "
+                   "for double precision\n")
 
 
 def test_mapper_workers_run_one_blas_thread(monkeypatch):
@@ -421,6 +448,16 @@ def test_study_jobs_2_writes_the_serial_csv(tmp_path):
 
 def test_study_bad_rhos_is_usage_error(tmp_path):
     assert main(["study", "--study", "power", "--rhos", "oops"]) == 2
+
+
+@pytest.mark.parametrize("study", ["calibration", "nongaussian",
+                                   "shortrange", "power", "speed"])
+def test_study_zero_replicates_is_usage_error(table_file, capsys, study):
+    assert main(["study", "--study", study, "--replicates", "0", "--N",
+                 "4000", "--table", table_file, "--mc-samples",
+                 "100000"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: replicates must be at least 1, got 0\n")
 
 
 def test_study_unknown_name_is_usage_error(capsys):

@@ -126,6 +126,12 @@ def test_rho_errors():
         rho_dcca(0.5, 0.0, 1.0)
     with pytest.raises(RuntimeError):
         rho_dcca(2.0, 1.0, 1.0)
+    # Elementwise, the breach is named by its scale and value alone.
+    assert rho_dcca(0.5, 1.0, 1.0) == 0.5
+    ones = np.ones(3)
+    assert rho_dcca(ones / 2, ones, ones).tolist() == [0.5] * 3
+    with pytest.raises(RuntimeError, match=r"^rho=-2.0 at scale 30 "):
+        rho_dcca(np.array([0.5, 1.0, -2.0]), ones, ones, (10, 20, 30))
 
 
 def test_sign_log():

@@ -151,6 +151,14 @@ def test_load_pair_tab_separated(tmp_path):
     assert np.array_equal(pair.y1, [1.0, 3.0])
 
 
+def test_comma_fields_are_stripped_of_whitespace(tmp_path):
+    # Bytes 0x1c..0x1f are whitespace to str.strip(), as to the split at
+    # whitespace, though float() refuses them.
+    f = tmp_path / "sep.csv"
+    f.write_text("1,2\n3\x1c,4\n\x1f5 ,\x1d6\n")
+    assert _parse_columns(str(f)).tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
 def test_load_pair_errors(tmp_path):
     fa = tmp_path / "a.csv"
     fb = tmp_path / "b.csv"

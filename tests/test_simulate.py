@@ -10,9 +10,9 @@ from dccatest.fbm import FbmParams, fgn_autocov
 from dccatest.fluctuation import fluctuation_analysis, hurst_estimate
 from dccatest.series import make_scales
 from dccatest.simulate import (SimSpec, _bfgn_exists, _bfgn_from_rng,
-                               _circulant_root, _embedding_length, _fgn_filter,
-                               _fgn_filter_gains, _gen_bfgn_circulant,
-                               _gen_bfgn_dense, _highpass, _signed_power_std,
+                               _circulant_root, _embedding_length,
+                               _gen_bfgn_circulant, _gen_bfgn_dense,
+                               _highpass, _signed_power_std,
                                add_trend, gen_bfgn, gen_mixture,
                                gen_nongaussian, generate, replicate_rng)
 from oracles import bfgn_joint_cov
@@ -33,16 +33,14 @@ def test_determinism_and_replicates():
 
 
 def test_spectral_roots_cached_read_only():
-    # Replicates share one circulant root and one filter gain per
-    # (n, params); no caller can change them for the next replicate.
+    # Replicates share one circulant root per (n, params); no caller can
+    # change it for the next replicate.
     params = _spec().params
     root = _circulant_root(4096, params)
     assert _circulant_root(4096, params) is root
-    gains = _fgn_filter_gains(4096, 0.7)
-    assert _fgn_filter_gains(4096, 0.7) is gains
-    # Both live on the L/2 + 1 non-negative frequencies only.
+    # It lives on the L/2 + 1 non-negative frequencies only.
     half = _embedding_length(4096) // 2 + 1
-    for block in (*root[1:], gains[1]):
+    for block in root[1:]:
         assert len(block) == half
         assert not block.flags.writeable
 
@@ -169,17 +167,20 @@ def test_circulant_embedding_exact_covariance(n, params):
     assert np.all(np.abs(m).max(axis=0) > 0)
 
 
-def test_nongaussian_filter_matches_complex_fft_form(rng):
-    # The half-spectrum filter equals ifft(fft(w) * gain).real with the
-    # full symmetric fGn gain built from the autocovariance.
-    n, hurst = 1000, 0.8
-    length = _embedding_length(n)
-    g = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst))
-    lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
-    gain = np.sqrt(np.clip(lam, 0.0, None))
-    w = rng.standard_normal(length)
-    full = np.fft.ifft(np.fft.fft(w) * gain).real[:n]
-    assert np.abs(_fgn_filter(w, n, hurst) - full).max() <= 1e-12
+def test_nongaussian_filter_matches_complex_fft_form():
+    # The non-Gaussian filter's gains, the diagonal of the root of an
+    # uncorrelated pair, are the square roots of the full symmetric fGn
+    # spectrum built from the autocovariance, and the cross block is 0.
+    n = 1000
+    length, b11, b22, b12 = _circulant_root(n, FbmParams(0.8, 0.6))
+    assert length == _embedding_length(n)
+    for hurst, gain in ((0.8, b11), (0.6, b22)):
+        g = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst))
+        lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+        full = np.sqrt(np.clip(lam, 0.0, None))
+        assert np.abs(gain - full[:length // 2 + 1]).max() \
+            <= 1e-12 * full.max()
+    assert not b12.any()
 
 
 def test_bfgn_rejects_invalid_combination():
@@ -195,6 +196,20 @@ def test_bfgn_rejects_invalid_combination():
         _gen_bfgn_dense(spec.n_samples, spec.params, replicate_rng(0))
     with pytest.raises(ValueError, match="combination is invalid"):
         gen_bfgn(spec)
+
+
+def test_dense_fallback_draws_the_dense_pair():
+    # This process exists, but its minimal embedding is not PSD at N =
+    # 1000: the circulant path refuses before drawing, so the fallback
+    # gives the dense factor's pair from the same stream, bit for bit.
+    params = FbmParams(hurst1=0.857, hurst2=0.911, rho=0.249, eta=0.315)
+    assert _bfgn_exists(params)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        _gen_bfgn_circulant(1000, params, replicate_rng(0, 0))
+    pair = _bfgn_from_rng(1000, params, replicate_rng(0, 0))
+    y1, y2 = _gen_bfgn_dense(1000, params, replicate_rng(0, 0))
+    assert pair.y1.tobytes() == y1.tobytes()
+    assert pair.y2.tobytes() == y2.tobytes()
 
 
 def test_nonexistent_bfgn_refused_without_dense_attempt():
