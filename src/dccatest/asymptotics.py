@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -455,14 +455,12 @@ def tabulate_pair(h: float, g: float, n_tab: int, sizes, degree: int
 
 def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
              ratios=DEFAULT_RATIOS, degree: int = 1,
-             progress=None, mapper=map) -> CovTable:
+             progress=None) -> CovTable:
     """Tabulate variance limits, ratio correlations and scaled means.
 
     The (H, G) sweep exploits symmetry of the cross statistics, filling
     both triangles from one computation.  ``progress`` is an optional
-    callback(done, total, h, g).  The entries are computed by
-    ``mapper(fn, hs, gs)``, the built-in ``map`` or any order-preserving
-    replacement such as a process pool's.
+    callback(done, total, h, g).
     """
     grid = np.asarray(sorted(set(float(h) for h in grid)))
     if len(grid) < 1 or grid[0] < 0.5 - 1e-12 or grid[-1] >= 1.0:
@@ -479,10 +477,9 @@ def tabulate(grid=DEFAULT_GRID, n_tab: int = DEFAULT_N_TAB,
     auto_mean = np.array([fluct_mean_exact(n_tab, float(h), degree)
                           / n_tab ** (2.0 * h) for h in grid])
     pairs = [(i, j) for i in range(nh) for j in range(i, nh)]
-    work = partial(tabulate_pair, n_tab=n_tab, sizes=sizes, degree=degree)
-    results = mapper(work, [float(grid[i]) for i, _ in pairs],
-                     [float(grid[j]) for _, j in pairs])
-    for k, ((i, j), (scaled_var, corrs)) in enumerate(zip(pairs, results)):
+    for k, (i, j) in enumerate(pairs):
+        scaled_var, corrs = tabulate_pair(float(grid[i]), float(grid[j]),
+                                          n_tab, sizes, degree)
         variance[i, j] = variance[j, i] = scaled_var
         correlation[:, i, j] = correlation[:, j, i] = corrs
         if progress is not None:

@@ -22,8 +22,6 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -47,38 +45,41 @@ _DEFAULT_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data",
 # Shared option parsing
 # ---------------------------------------------------------------------------
 
-def _parse_scales_arg(value: str, n_samples: int, degree: int):
+def _flag_values(flag: str, form: str, value: str, kind=float,
+                 sep: str = ",", count: int | None = None, valid=None,
+                 skip: int = 0) -> list:
+    """``value[skip:]`` split at ``sep``, each part converted by ``kind``.
+
+    A part that does not convert, a count other than ``count`` or a list
+    that fails ``valid`` is a usage error "FLAG expects FORM, got VALUE".
+    """
     try:
-        lo, hi, r = value.split(":")
-        return make_scales(n_samples, int(lo), int(hi), int(r), degree)
-    except ValueError as exc:
-        if isinstance(exc, InfeasibleScalesError):
-            raise
-        raise ValueError(
-            f"--scales expects MIN:MAX:R, got {value!r}"
-        ) from None
+        parts = [kind(v) for v in value[skip:].split(sep)]
+        if count not in (None, len(parts)) or valid and not valid(parts):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{flag} expects {form}, got {value!r}") from None
+    return parts
 
 
-def _parse_kappa(value: str, r: int) -> int:
-    if value == "r":
-        return r
-    if value == "r-1":
-        return r - 1
-    return int(value)           # TestConfig checks its range
+def _parse_kappa(value: str):
+    """kappa as a function of r: r, r - 1 or a fixed integer (whose
+    range TestConfig checks)."""
+    offset = {"r": 0, "r-1": -1}.get(value)
+    if offset is not None:
+        return lambda r: r + offset
+    kappa, = _flag_values("--kappa", "an integer, r or r-1", value, int,
+                          count=1)
+    return lambda r: kappa
 
 
 def _parse_hurst(value: str) -> tuple:
     if value == "auto":
         return ("auto",)
-    mode, _, rest = value.partition(":")
-    parts = [float(v) for v in rest.split(",")] if rest else []
-    if mode == "known" and len(parts) == 2:
-        return ("known", *parts)
-    if mode == "range" and len(parts) == 4:
-        return ("range", *parts)
-    raise ValueError(
-        "--hurst expects known:H,G or range:HL,HH,GL,GH or auto"
-    )
+    mode = value.partition(":")[0]
+    return (mode, *_flag_values(
+        "--hurst", "known:H,G or range:HL,HH,GL,GH or auto", value,
+        count={"known": 2, "range": 4}.get(mode, 0), skip=len(mode) + 1))
 
 
 def _load_table(path: str | None) -> tuple[CovTable, str, str]:
@@ -88,30 +89,6 @@ def _load_table(path: str | None) -> tuple[CovTable, str, str]:
         raw = fh.read()
     return loads_covtab(raw.decode("utf-8"), label=name), name, \
         hashlib.sha256(raw).hexdigest()
-
-
-@contextmanager
-def _mapper(jobs: int, chunksize: int = 1):
-    """The built-in ``map`` for one job, else a process pool's ``map``;
-    both yield results in input order."""
-    if jobs <= 1:
-        yield map
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # Spawned workers start from a fresh import: forking a process whose
-    # BLAS may already run threads is unsafe.  Workers, which may start at
-    # any map call, run one BLAS thread each: the pool fills the cores.
-    spawn = multiprocessing.get_context("spawn")
-    saved = dict(os.environ)
-    os.environ.update(dict.fromkeys(
-        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    try:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            yield partial(pool.map, chunksize=chunksize)
-    finally:
-        os.environ.clear()
-        os.environ.update(saved)
 
 
 def _progress_printer(reports: int | None = None):
@@ -204,30 +181,28 @@ def _build_report(outcome, table_name: str, table_checksum: str,
 
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
-    columns = None
-    if args.columns:
-        try:
-            a, b = (int(v) for v in args.columns.split(","))
-        except ValueError:
-            raise ValueError(f"--columns expects two integers A,B, got "
-                             f"{args.columns!r}") from None
-        columns = (a, b)
+    columns = tuple(_flag_values("--columns", "two integers A,B",
+                                 args.columns, int, count=2)) \
+        if args.columns else None
+    kappa = _parse_kappa(args.kappa)
+    hurst_mode = _parse_hurst(args.hurst)
     pair = load_pair(args.file_a, args.file_b, columns)
     t_load = time.perf_counter()
     table, table_name, checksum = _load_table(args.table)
     t_table = time.perf_counter()
     degree = table.degree
     if args.scales:
-        scale_set = _parse_scales_arg(args.scales, pair.n_samples, degree)
+        scale_args = _flag_values("--scales", "MIN:MAX:R", args.scales, int,
+                                  ":", count=3)
     else:
         n_max = max(pair.n_samples // 20, degree + 3)
-        scale_set = make_scales(pair.n_samples, min(20, n_max - 1), n_max,
-                                10, degree)
+        scale_args = (min(20, n_max - 1), n_max, 10)
+    scale_set = make_scales(pair.n_samples, *scale_args, degree)
     config = TestConfig(
         scale_set=scale_set,
         level=args.level,
-        kappa=_parse_kappa(args.kappa, scale_set.r),
-        hurst_mode=_parse_hurst(args.hurst),
+        kappa=kappa(scale_set.r),
+        hurst_mode=hurst_mode,
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
@@ -261,6 +236,11 @@ def cmd_analyze(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _trend_coeffs(flag: str, value: str | None) -> tuple:
+    return tuple(_flag_values(flag, "comma-separated numbers", value)) \
+        if value else ()
+
+
 def cmd_simulate(args) -> int:
     params = FbmParams(hurst1=args.hurst1, hurst2=args.hurst2, rho=args.rho,
                        eta=args.eta, sigma1=args.sigma1, sigma2=args.sigma2)
@@ -272,10 +252,8 @@ def cmd_simulate(args) -> int:
         cutoff=args.cutoff,
         weight=args.weight,
         sr_rho=args.sr_rho,
-        trend_coeffs1=tuple(float(v) for v in args.trend_coeffs1.split(","))
-        if args.trend_coeffs1 else (),
-        trend_coeffs2=tuple(float(v) for v in args.trend_coeffs2.split(","))
-        if args.trend_coeffs2 else (),
+        trend_coeffs1=_trend_coeffs("--trend-coeffs1", args.trend_coeffs1),
+        trend_coeffs2=_trend_coeffs("--trend-coeffs2", args.trend_coeffs2),
         trend_target=args.trend_target,
         seed=args.seed,
     )
@@ -293,29 +271,27 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(value: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(v) for v in value.split(":"))
-        if not step > 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"--grid expects MIN:MAX:STEP with STEP > 0, got "
-                         f"{value!r}") from None
+    # MAX - MIN < 999 STEP caps the grid at 1000 nodes before any is made.
+    lo, hi, step = _flag_values(
+        "--grid", "MIN:MAX:STEP with 0 < STEP < inf and at most 1000 nodes",
+        value, sep=":", count=3,
+        valid=lambda p: 0 < p[2] < np.inf and p[1] - p[0] < 999 * p[2])
     return np.round(np.arange(lo, hi + step / 2, step), 10)
 
 
 def cmd_tabulate(args) -> int:
     grid = DEFAULT_GRID if args.grid is None else _parse_grid(args.grid)
-    ratios = DEFAULT_RATIOS if args.ratios == "default" else \
-        tuple(float(v) for v in args.ratios.split(","))
+    ratios = DEFAULT_RATIOS if args.ratios == "default" else tuple(
+        _flag_values("--ratios", "'default' or comma-separated values in "
+                     "(0, 1]", args.ratios,
+                     valid=lambda p: all(0 < v <= 1 for v in p)))
     report = _progress_printer()
 
     def progress(done, total, h, g):
         report(done, total, f" H={h:.2f} G={g:.2f}")
 
-    with _mapper(args.jobs) as mapper:
-        table = tabulate(grid=grid, n_tab=args.n_tab, ratios=ratios,
-                         degree=args.degree, progress=progress,
-                         mapper=mapper)
+    table = tabulate(grid=grid, n_tab=args.n_tab, ratios=ratios,
+                     degree=args.degree, progress=progress)
     save_covtab(table, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -327,8 +303,7 @@ def cmd_tabulate(args) -> int:
 
 def cmd_study(args) -> int:
     table, _, _ = _load_table(args.table)
-    with _mapper(args.jobs, chunksize=16) as mapper:
-        result, summary = _run_study(args, table, mapper)
+    result, summary = _run_study(args, table)
     meta = [f"dccatest {__version__} study={args.study} seed={args.seed}",
             summary]
     _write_rows_csv(result["rows"], args.out, header_comment=meta)
@@ -336,7 +311,7 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _run_study(args, table, mapper) -> tuple[dict, str]:
+def _run_study(args, table) -> tuple[dict, str]:
     """Result and one-line summary of the requested study."""
     run = dict(n_samples=args.n_samples, mc_samples=args.mc_samples,
                seed=args.seed, progress=_progress_printer(reports=20))
@@ -348,13 +323,14 @@ def _run_study(args, table, mapper) -> tuple[dict, str]:
     if args.study == "upperbound":
         result = studies_mod.upperbound_check(table, **run)
         return result, f"violations {result['violations']}"
-    run.update(replicates=args.replicates, mapper=mapper)
+    run["replicates"] = args.replicates
     if args.study == "shortrange":
         result = studies_mod.shortrange_robustness(table, **run)
         return result, (f"joint {result['joint_rate']:.4f} vs bonferroni "
                         f"{result['bonferroni_rate']:.4f}")
     if args.study == "power":
-        rhos = tuple(float(v) for v in args.rhos.split(","))
+        rhos = tuple(_flag_values("--rhos", "comma-separated numbers",
+                                  args.rhos))
         result = studies_mod.power_study(table, rhos=rhos, **run)
         return result, " ".join(f"rho={k}:{v:.3f}" for k, v in
                                 result["rates"].items())
@@ -423,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--ratios", default="default",
                     help="'default' or comma-separated values in (0,1]")
     pt.add_argument("--degree", type=int, default=1)
-    pt.add_argument("--jobs", type=int, default=1)
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=cmd_tabulate)
 
@@ -437,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--table", help="covariance table path (default builtin)")
     pu.add_argument("--mc-samples", type=int, default=400_000)
     pu.add_argument("--seed", type=int, default=0)
-    pu.add_argument("--jobs", type=int, default=1)
     pu.add_argument("--out", help="CSV output path (default stdout)")
     pu.set_defaults(func=cmd_study)
     return parser

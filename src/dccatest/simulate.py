@@ -338,13 +338,13 @@ def gen_mixture(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     The long-range component is bivariate fGn with the requested Hurst
     exponents and rho = 0; the short-range component is a correlated
     white pair hard high-pass filtered at the cutoff fraction.  The
-    weight sets the white component's share of the total variance.
+    weight sets the white component's share of the unit variance, which
+    sigma1 and sigma2 then scale.
     """
     rng = replicate_rng(spec.seed, replicate)
-    null_params = FbmParams(hurst1=spec.params.hurst1,
-                            hurst2=spec.params.hurst2,
-                            rho=0.0, eta=0.0)
-    lr = _bfgn_from_rng(spec.n_samples, null_params, rng)
+    p = spec.params
+    lr = _bfgn_from_rng(spec.n_samples,
+                        FbmParams(hurst1=p.hurst1, hurst2=p.hurst2), rng)
 
     z1 = rng.standard_normal(spec.n_samples)
     z2 = spec.sr_rho * z1 + math.sqrt(1.0 - spec.sr_rho ** 2) \
@@ -358,7 +358,7 @@ def gen_mixture(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     w_sr = math.sqrt(spec.weight / frac)
     y1 = w_lr * lr.y1 + w_sr * hp1
     y2 = w_lr * lr.y2 + w_sr * hp2
-    return SeriesPair.from_increments(y1, y2)
+    return SeriesPair.from_increments(p.sigma1 * y1, p.sigma2 * y2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,14 @@ worst-case bound check, test power, and the speed comparison.
 
 Each study returns a dict with a ``rows`` list (one record per
 replicate or grid node, suitable for CSV export) plus summary fields.
-Replicates derive their random streams from (seed, index) so results do
-not depend on scheduling.  The settings no caller varies are the module
-constants below; the white pair of the short-range mixtures takes the
-``SimSpec`` defaults.
+Replicates derive their random streams from (seed, index).  The
+settings no caller varies are the module constants below; the white
+pair of the short-range mixtures takes the ``SimSpec`` defaults.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -41,30 +39,20 @@ POWER_SCALES = (20, 2000)
 SPEED_SCALES = (20, 1000)
 
 
-def _one_rho_vector(spec: SimSpec, scale_set, counts, index: int):
-    pair = generate(spec, replicate=index)
-    fl = fluctuation_analysis(pair, scale_set)
-    return scaled_rho(fl.rho, counts)
-
-
 def _rho_vectors(kind: str, params: FbmParams, n_samples: int, scale_set,
                  replicates: int, seed: int, phi: float = 3.0,
-                 progress=None, mapper=map) -> np.ndarray:
-    """Scaled rho vectors of simulated pairs, one row per replicate.
-
-    Replicate streams derive from (seed, index), so any order-preserving
-    ``mapper`` (the built-in ``map`` or a process pool's ``map``)
-    reproduces the serial output exactly.
-    """
+                 progress=None) -> np.ndarray:
+    """Scaled rho vectors of simulated pairs, one row per replicate; the
+    replicate streams derive from (seed, index)."""
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     counts = scale_set.window_counts(n_samples)
     spec = SimSpec(kind=kind, n_samples=n_samples, params=params, phi=phi,
                    seed=seed)
-    work = partial(_one_rho_vector, spec, scale_set, counts)
     out = np.empty((replicates, scale_set.r))
-    for i, vec in enumerate(mapper(work, range(replicates))):
-        out[i] = vec
+    for i in range(replicates):
+        fl = fluctuation_analysis(generate(spec, replicate=i), scale_set)
+        out[i] = scaled_rho(fl.rho, counts)
         if progress is not None:
             progress(i + 1, replicates)
     return out
@@ -98,7 +86,7 @@ def null_calibration(table: CovTable, *, kind: str = "bfgn",
                      n_samples: int = 10_000, replicates: int = 2000,
                      level: float = 0.05, phi: float = 3.0,
                      mc_samples: int = 400_000, seed: int = 0,
-                     progress=None, mapper=map) -> dict:
+                     progress=None) -> dict:
     """Type I error rate of the test (kappa = r) on independent simulated
     pairs.
 
@@ -109,8 +97,7 @@ def null_calibration(table: CovTable, *, kind: str = "bfgn",
     scale_set, cov, pool = _known_null(table, n_samples, CALIBRATION_SCALES,
                                        HURST, mc_samples, seed)
     vectors = _rho_vectors(kind, FbmParams(*HURST), n_samples, scale_set,
-                           replicates, seed, phi=phi, progress=progress,
-                           mapper=mapper)
+                           replicates, seed, phi=phi, progress=progress)
     rows, reject = _scored_rows(pool, vectors, cov, level)
     return {
         "study": "calibration" if kind == "bfgn" else kind,
@@ -126,7 +113,7 @@ def null_calibration(table: CovTable, *, kind: str = "bfgn",
 def shortrange_robustness(table: CovTable, *, n_samples: int = 20_000,
                           replicates: int = 500, level: float = 0.05,
                           mc_samples: int = 400_000, seed: int = 0,
-                          progress=None, mapper=map) -> dict:
+                          progress=None) -> dict:
     """Joint test versus per-scale Bonferroni on long-range-null mixtures.
 
     The mixtures are long-range independent but short-range correlated;
@@ -140,7 +127,7 @@ def shortrange_robustness(table: CovTable, *, n_samples: int = 20_000,
 
     vectors = _rho_vectors("mixture", FbmParams(*SHORTRANGE_HURST),
                            n_samples, scale_set, replicates, seed,
-                           progress=progress, mapper=mapper)
+                           progress=progress)
     rows, joint = _scored_rows(pool, vectors, cov, level,
                                reject="reject_joint")
     bonf = np.any(np.abs(vectors) / diag_std > z_bonf, axis=1)
@@ -218,7 +205,7 @@ def upperbound_check(table: CovTable, *, n_samples: int = 10_000,
 def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
                 n_samples: int = 40_000, replicates: int = 100,
                 level: float = 0.05, mc_samples: int = 400_000,
-                seed: int = 0, progress=None, mapper=map) -> dict:
+                seed: int = 0, progress=None) -> dict:
     """Rejection rate as a function of the cross-correlation parameter.
 
     Replicate streams are shared across rho values (common random
@@ -236,7 +223,7 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
 
         vectors = _rho_vectors("bfgn", FbmParams(*HURST, rho=float(rho)),
                                n_samples, scale_set, replicates, seed,
-                               progress=tick, mapper=mapper)
+                               progress=tick)
         rho_rows, reject = _scored_rows(pool, vectors, cov, level,
                                         rho=float(rho))
         rows += rho_rows

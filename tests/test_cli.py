@@ -13,7 +13,7 @@ import pytest
 
 import dccatest
 from dccatest.asymptotics import load_covtab, save_covtab
-from dccatest.cli import DEFAULT_TABLE_RESOURCE, _mapper, main
+from dccatest.cli import DEFAULT_TABLE_RESOURCE, main
 from dccatest.testkit import STAGES
 
 
@@ -234,9 +234,20 @@ def test_analyze_exit_codes(tmp_path, table_file):
     (["tabulate", "--grid", "0.6:0.8:0", "--out", "t.covtab"], "--grid"),
     (["tabulate", "--grid", "0.6:0.8:-0.1", "--out", "t.covtab"], "--grid"),
     (["tabulate", "--grid", "a:b:c", "--out", "t.covtab"], "--grid"),
+    # Steps that would allocate 14.6 TiB or run for minutes.
+    (["tabulate", "--grid", "0.6:0.8:1e-13", "--out", "t.covtab"], "--grid"),
+    (["tabulate", "--grid", "0.6:0.8:1e-9", "--out", "t.covtab"], "--grid"),
+    (["tabulate", "--grid", "0.6:0.8:inf", "--out", "t.covtab"], "--grid"),
+    (["tabulate", "--ratios", "abc", "--out", "t.covtab"], "--ratios"),
+    (["tabulate", "--ratios", "2.0,1.0", "--out", "t.covtab"], "--ratios"),
+    (["analyze", "x.csv", "--kappa", "x"], "--kappa expects"),
+    (["analyze", "x.csv", "--hurst", "known:0.7,abc"], "--hurst expects"),
+    (["study", "--study", "power", "--rhos", "oops"], "--rhos expects"),
+    (["simulate", "--kind", "trended", "--N", "100", "--trend-coeffs1", "a",
+      "--out", "s.csv"], "--trend-coeffs1 expects"),
 ])
 def test_malformed_flags_are_usage_errors(capsys, argv, message):
-    # Refused before any file is read or written, naming the flag.
+    # Refused before any input is read or output written, naming the flag.
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
@@ -299,17 +310,6 @@ def test_tabulate_tiny_grid_under_a_minute(tmp_path):
     load_covtab(out)
 
 
-def test_tabulate_jobs_matches_serial(tmp_path):
-    # The parallel table is byte-identical to the serial one at this
-    # size; at the shipped settings BLAS thread counts move last digits.
-    common = ["--grid", "0.6:0.66:0.02", "--n-tab", "128",
-              "--ratios", "0.25,0.5,1.0"]
-    parallel, serial = str(tmp_path / "p.covtab"), str(tmp_path / "s.covtab")
-    assert main(["tabulate", *common, "--jobs", "2", "--out", parallel]) == 0
-    assert main(["tabulate", *common, "--out", serial]) == 0
-    assert open(parallel, "rb").read() == open(serial, "rb").read()
-
-
 def test_analyze_refuses_a_truncated_table(tmp_path, table_file, capsys):
     # A table cut short is an input error that names the file and the
     # line, not an uncaught exception.
@@ -357,18 +357,6 @@ def test_analyze_refuses_overflowing_fluctuations(tmp_path, capsys, scale,
     assert out == ""
     assert err == (f"internal error: fluctuations at scale 20 {failure} "
                    "for double precision\n")
-
-
-def test_mapper_workers_run_one_blas_thread(monkeypatch):
-    # Each pool worker runs one BLAS thread, so --jobs does not
-    # oversubscribe the cores; the parent's environment comes back.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    before = dict(os.environ)
-    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
-    with _mapper(2) as mapper:
-        assert list(mapper(os.getenv, names)) == ["1"] * 3
-    assert dict(os.environ) == before
 
 
 def test_cli_import_loads_no_scipy():
@@ -435,15 +423,34 @@ def test_study_stdout_is_csv_only(capsys):
     assert "[40/40]" in captured.err and "ETA" in captured.err
 
 
-def test_study_jobs_2_writes_the_serial_csv(tmp_path):
-    # Replicates run in a process pool give the serial study's CSV.
-    outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}.csv"
-        assert main(["study", "--study", "calibration", "--replicates", "40",
-                     "--N", "2000", "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("argv", [
+    ["tabulate", "--out", "t.covtab"],
+    ["study", "--study", "calibration"],
+])
+def test_jobs_is_an_unknown_argument(capsys, argv):
+    # Every command runs in the one process it starts.
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_upperbound_refuses_a_non_psd_envelope(tmp_path, capsys):
+    # With ratios down to 1/16, the entrywise envelope over the whole grid
+    # is not a covariance; the study stops with an internal error rather
+    # than project it.  A Hurst-range null built from node p-values would
+    # have no envelope to refuse.
+    table = str(tmp_path / "fine.covtab")
+    assert main(["tabulate", "--grid", "0.6:0.8:0.02", "--n-tab", "128",
+                 "--ratios", "0.0625,0.125,0.25,0.5,0.75,1.0",
+                 "--out", table]) == 0
+    capsys.readouterr()
+    assert main(["study", "--study", "upperbound", "--table", table,
+                 "--mc-samples", "100000", "--seed", "1",
+                 "--out", str(tmp_path / "ub.csv")]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: worst_case_cov: covariance not positive "
+        "semidefinite (eigmin -3.398e-03); refusing to project\n")
 
 
 def test_study_bad_rhos_is_usage_error(tmp_path):

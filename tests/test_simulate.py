@@ -335,6 +335,20 @@ def test_mixture_short_range_only_cross_correlation():
     assert abs(rho_large.mean()) <= 3 * rho_large.std() / np.sqrt(reps)
 
 
+def test_mixture_scales_by_sigma():
+    # sigma1 and sigma2 scale the mixture as they scale bfGn and the
+    # non-Gaussian pair; at sigma 1 the output is unchanged.
+    def mixture(sigma1, sigma2):
+        params = FbmParams(hurst1=0.9, hurst2=0.9, sigma1=sigma1,
+                           sigma2=sigma2)
+        return gen_mixture(SimSpec(kind="mixture", n_samples=4000,
+                                   params=params, seed=1))
+
+    unit, scaled = mixture(1.0, 1.0), mixture(5.0, 3.0)
+    assert np.array_equal(scaled.y1, 5.0 * unit.y1)
+    assert np.array_equal(scaled.y2, 3.0 * unit.y2)
+
+
 def test_add_trend_identity_and_consistency(rng):
     pair = gen_bfgn(_spec(n=1024, seed=1))
     same = add_trend(pair, (), ())

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -181,6 +182,30 @@ def test_threshold_uses_the_decisions_inequality():
     stat = 1.006
     assert pool.p_values(stat)[0] <= 0.05
     assert stat > theta - 0.01
+
+
+@pytest.mark.parametrize("crossing, ceiling, theta", [
+    (0.030000000000000002, 3, 4 * 0.01),  # 3 * 0.01 lies below: k += 1
+    (0.07, 8, 7 * 0.01),                  # 7 * 0.01 reaches it: k -= 1
+])
+def test_threshold_corrects_the_rounded_grid_index(crossing, ceiling, theta):
+    # ceil(crossing / 0.01) is one grid step off in floating point, either
+    # way; theta* is still the smallest k * 0.01 at or above the crossing.
+    assert math.ceil(crossing / 0.01) == ceiling
+    pool = GaussianTailPool(np.eye(1), 1, 100_000, seed=0)
+    pool.values = np.full(100_000, crossing)
+    assert pool.threshold(0.05) == theta
+
+
+def test_factor_falls_back_to_eigenvectors_only_for_round_off():
+    # A singular covariance fails Cholesky and is factored through its
+    # eigenvalues; a negative eigenvalue beyond round-off is refused.
+    pool = GaussianTailPool(np.ones((2, 2)), 2, 100_000, seed=0)
+    assert np.isfinite(pool.values).all()
+    with pytest.raises(RuntimeError, match=re.escape(
+            "covariance factorization failed (eigmin -1.000e-03)")):
+        GaussianTailPool(np.array([[1.0, 1.001], [1.001, 1.0]]), 2,
+                         100_000, seed=0)
 
 
 @pytest.fixture(scope="module")
