@@ -186,15 +186,14 @@ def cmd_analyze(args) -> int:
         if args.columns else None
     kappa = _parse_kappa(args.kappa)
     hurst_mode = _parse_hurst(args.hurst)
+    scale_args = _flag_values("--scales", "MIN:MAX:R", args.scales, int,
+                              ":", count=3) if args.scales else None
     pair = load_pair(args.file_a, args.file_b, columns)
     t_load = time.perf_counter()
     table, table_name, checksum = _load_table(args.table)
     t_table = time.perf_counter()
     degree = table.degree
-    if args.scales:
-        scale_args = _flag_values("--scales", "MIN:MAX:R", args.scales, int,
-                                  ":", count=3)
-    else:
+    if scale_args is None:
         n_max = max(pair.n_samples // 20, degree + 3)
         scale_args = (min(20, n_max - 1), n_max, 10)
     scale_set = make_scales(pair.n_samples, *scale_args, degree)

@@ -241,6 +241,7 @@ def test_analyze_exit_codes(tmp_path, table_file):
     (["tabulate", "--ratios", "abc", "--out", "t.covtab"], "--ratios"),
     (["tabulate", "--ratios", "2.0,1.0", "--out", "t.covtab"], "--ratios"),
     (["analyze", "x.csv", "--kappa", "x"], "--kappa expects"),
+    (["analyze", "x.csv", "--scales", "1:2"], "--scales expects"),
     (["analyze", "x.csv", "--hurst", "known:0.7,abc"], "--hurst expects"),
     (["study", "--study", "power", "--rhos", "oops"], "--rhos expects"),
     (["simulate", "--kind", "trended", "--N", "100", "--trend-coeffs1", "a",

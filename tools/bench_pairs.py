@@ -4,14 +4,14 @@ in alternating pairs, and write the result as one ``BENCH_<label>.json``.
     python3 tools/bench_pairs.py --parent c49e246 --label 23
 
 Run from the root of a git checkout.  Each side runs in its own copy of
-its tree under ``--work`` (a new temporary directory by default): the
-parent from ``git archive``, the change from the working tree's tracked
-and unignored files.  The parent's copy gets the change's
-``sessionbench/`` and ``BENCHMARK.json``, so both sides run identical
-benchmark code.  For each workload and seed 1..``--pairs`` the command
-of ``BENCHMARK.json`` runs once per side for its ``run_seconds``; odd
-seeds run the parent first, even seeds the change first.  Then the
-tier-1 suite runs on both sides, the change first.
+its tree in a temporary directory that is deleted on exit: the parent
+from ``git archive``, the change from the working tree's tracked and
+unignored files.  The parent's copy gets the change's ``sessionbench/``
+and ``BENCHMARK.json``, so both sides run identical benchmark code.  For
+each workload of ``BENCHMARK.json``, in its order, and seed 1..10 the
+benchmark command runs once per side for its ``run_seconds``; odd seeds
+run the parent first, even seeds the change first.  Then the tier-1
+suite runs on both sides, the change first.
 
 The file holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and the no-regression
@@ -38,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -49,14 +50,8 @@ def parse_args(argv=None):
     parser.add_argument("--parent", required=True, help="parent commit")
     parser.add_argument("--label", required=True,
                         help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads",
-                        help="comma-separated (default: all of "
-                             "BENCHMARK.json, in its order)")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims "
                                         "to improve (default: none)")
-    parser.add_argument("--work", help="directory for the two copies")
-    parser.add_argument("--skip-tier1", action="store_true")
     return parser.parse_args(argv)
 
 
@@ -153,7 +148,8 @@ def claim_verdict(metric: dict, result: dict) -> dict:
               max(1, sum(result[side]["attempted"])) for side in SIDES}
     return {"wins": f"{wins}/{len(p)}", "median_gain": gain,
             "parent_iqr": parent["iqr"],
-            "holds": wins >= 0.9 * len(p) and gain > parent["iqr"]
+            "holds": len(p) >= PAIRS and wins >= 0.9 * len(p)
+            and gain > parent["iqr"]
             and failed["change"] <= failed["parent"]}
 
 
@@ -178,57 +174,51 @@ def environment() -> dict:
             "cpu": cpu, "os": f"{platform.system()} {platform.machine()}"}
 
 
+def run_pairs(trees: dict, bench: dict, workload: str) -> dict:
+    """One workload's alternating pairs and the verdict on each metric."""
+    metrics = bench["end_to_end"]
+    seeds = list(range(1, PAIRS + 1))
+    runs = {side: [] for side in SIDES}
+    for seed in seeds:
+        for side in SIDES if seed % 2 else SIDES[::-1]:
+            print(f"{workload} seed {seed} {side}", file=sys.stderr,
+                  flush=True)
+            runs[side].append(run_session(trees[side], bench["command"],
+                                          workload, seed,
+                                          bench["run_seconds"]))
+    result = {"seeds": seeds, "trace": 0,
+              "order": "odd seeds ran the parent first, even seeds "
+                       "the change first"}
+    for side in SIDES:
+        result[side] = {key: [r[key] for r in runs[side]]
+                        for key in ("correct", "failed", "attempted")}
+        for metric in metrics:
+            result[side][metric["name"]] = spread(
+                [r["metrics"][metric["name"]]["value"] for r in runs[side]])
+    result["verdict"] = {m["name"]: verdict(m, result["parent"][m["name"]],
+                                            result["change"][m["name"]])
+                         for m in metrics}
+    return result
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = Path.cwd()
     bench = json.loads((root / "BENCHMARK.json").read_text("utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
-    workloads = args.workloads.split(",") if args.workloads else names
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
     claim = None
     if args.claim:
-        workload, _, name = args.claim.partition(":")
+        claim_workload, _, name = args.claim.partition(":")
         claim = next((m for m in metrics if m["name"] == name), None)
-        if workload not in workloads or claim is None:
-            print(f"error: --claim names no measured workload and "
-                  f"end-to-end metric: {args.claim!r}", file=sys.stderr)
+        if claim_workload not in workloads or claim is None:
+            print(f"error: --claim names no workload and end-to-end metric "
+                  f"of BENCHMARK.json: {args.claim!r}", file=sys.stderr)
             return 2
-    if args.pairs < 2 or not set(workloads) <= set(names):
-        print("error: need --pairs >= 2 and workloads of BENCHMARK.json",
-              file=sys.stderr)
-        return 2
-    work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs_"))
-    trees = copy_trees(root, args.parent, work)
-    seeds = list(range(1, args.pairs + 1))
-    seconds = bench["run_seconds"]
 
-    results = {}
-    for workload in workloads:
-        runs = {side: [] for side in SIDES}
-        for seed in seeds:
-            order = SIDES if seed % 2 else SIDES[::-1]
-            for side in order:
-                print(f"{workload} seed {seed} {side}", file=sys.stderr,
-                      flush=True)
-                runs[side].append(run_session(trees[side], bench["command"],
-                                              workload, seed, seconds))
-        result = {"seeds": seeds, "trace": 0,
-                  "order": "odd seeds ran the parent first, even seeds "
-                           "the change first"}
-        for side in SIDES:
-            result[side] = {key: [r[key] for r in runs[side]]
-                            for key in ("correct", "failed", "attempted")}
-            for metric in metrics:
-                result[side][metric["name"]] = spread(
-                    [r["metrics"][metric["name"]]["value"]
-                     for r in runs[side]])
-        result["verdict"] = {m["name"]: verdict(m, result["parent"][m["name"]],
-                                                result["change"][m["name"]])
-                             for m in metrics}
-        results[workload] = result
-
-    tier1 = None
-    if not args.skip_tier1:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
+        trees = copy_trees(root, args.parent, Path(work))
+        results = {w: run_pairs(trees, bench, w) for w in workloads}
         tier1 = {"command": "PYTHONPATH=src " + " ".join(
             ["python", *TIER1[1:]]), "order": "change first, then parent"}
         for side in SIDES[::-1]:
@@ -250,12 +240,11 @@ def main(argv=None) -> int:
         "label": f"BENCH_{args.label}",
         "written_by": "tools/bench_pairs.py",
         "command": " ".join(bench["command"]) + " --workload W --seed S "
-                   f"--seconds {seconds} --trace 0",
+                   f"--seconds {bench['run_seconds']} --trace 0",
         "order": "alternating within each seed: odd seeds ran the parent "
                  "first, even seeds the change first; batches in this "
-                 "order: " + ", ".join(f"{w} {seeds[0]}-{seeds[-1]}"
-                                       for w in workloads)
-                 + (", then the tier-1 suite of both sides" if tier1 else ""),
+                 "order: " + ", ".join(f"{w} 1-{PAIRS}" for w in workloads)
+                 + ", then the tier-1 suite of both sides",
         "quartiles": "statistics.quantiles(n=4), exclusive method",
         "environment": environment(),
         "commits": {
@@ -264,8 +253,8 @@ def main(argv=None) -> int:
             else head,
         },
         "claim": None if claim is None else {
-            "workload": workload, "metric": claim["name"],
-            **claim_verdict(claim, results[workload])},
+            "workload": claim_workload, "metric": claim["name"],
+            **claim_verdict(claim, results[claim_workload])},
         "no_regression": {
             "holds": not beyond and not more_failed,
             "beyond_bound": beyond,
@@ -277,7 +266,7 @@ def main(argv=None) -> int:
     }
     path = root / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path.name} (copies under {work})", file=sys.stderr)
+    print(f"wrote {path.name}", file=sys.stderr)
     return 0
 
 
