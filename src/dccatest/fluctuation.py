@@ -24,6 +24,12 @@ import numpy as np
 
 from .series import ScaleSet, SeriesPair
 
+# The fluctuation stage detrends blocks of whole windows of at most this
+# many samples (one window where a window is longer), so that its
+# residual temporaries stay small at any N; a series of up to BLOCK
+# samples is one block and keeps the whole-series sums bit for bit.
+BLOCK = 1 << 16
+
 
 @lru_cache(maxsize=256)
 def poly_basis(n: int, degree: int) -> np.ndarray:
@@ -47,6 +53,15 @@ def _window_residuals(x: np.ndarray, n: int, degree: int) -> np.ndarray:
     w = x[: m * n].reshape(m, n)
     basis = poly_basis(n, degree)
     return w - (w @ basis) @ basis.T
+
+
+def _residual_sums(xa: np.ndarray, xb: np.ndarray, n: int,
+                   degree: int) -> tuple[float, float, float]:
+    """Sums of the residual products ra rb, ra ra and rb rb over the
+    complete windows of two profile stretches."""
+    ra = _window_residuals(xa, n, degree)
+    rb = _window_residuals(xb, n, degree)
+    return np.sum(ra * rb), np.sum(ra * ra), np.sum(rb * rb)
 
 
 def rho_dcca(f2_cross, f2_auto1, f2_auto2, scales=None):
@@ -100,11 +115,13 @@ def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSe
     # a finite product that keeps double precision (a normal number).
     with np.errstate(over="ignore", invalid="ignore"):
         for i, n in enumerate(scale_set.scales):
-            ra = _window_residuals(pair.x1, n, scale_set.degree)
-            rb = _window_residuals(pair.x2, n, scale_set.degree)
-            f2c[i] = np.sum(ra * rb) / ra.size
-            f2a1[i] = np.sum(ra * ra) / ra.size
-            f2a2[i] = np.sum(rb * rb) / rb.size
+            m = pair.n_samples // n
+            step = n * max(1, BLOCK // n)
+            sums = np.array([_residual_sums(pair.x1[a:a + step],
+                                            pair.x2[a:a + step], n,
+                                            scale_set.degree)
+                             for a in range(0, m * n, step)]).sum(axis=0)
+            f2c[i], f2a1[i], f2a2[i] = sums / (m * n)
         product = f2a1 * f2a2
     over = ~(np.isfinite(f2c) & np.isfinite(product))
     bad = over | ((product < np.finfo(float).tiny) & (f2a1 > 0) & (f2a2 > 0))

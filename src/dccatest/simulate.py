@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,41 +134,53 @@ def _embedding_length(n: int) -> int:
     return 2 * best
 
 
-def _embed(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Circulant first row: lags 0..h from ``pos``, then lags
-    -(h-1)..-1 from ``neg``, both of length h + 1."""
-    return np.concatenate([pos, neg[-2:0:-1]])
+# Lags, normals and spectral bins are handled this many at a time, so
+# that temporaries stay small next to the length-L buffers (16 MB each
+# at N = 10^6).
+_CHUNK = 1 << 16
 
 
-def _auto_spectrum(length: int, hurst: float,
-                   sigma: float = 1.0) -> np.ndarray:
-    """Spectrum of the length-L circulant embedding of the fGn
-    autocovariance on its L/2 + 1 non-negative frequencies (real: the
-    row is symmetric)."""
-    # One name for every stage, so that each frees the one before.
-    x = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst, sigma))
-    x = _embed(x, x)
-    x = np.fft.rfft(x)
-    return x.real.copy()
+def _chunks(start: int, stop: int):
+    """Bounds (a, b) of consecutive chunks of range(start, stop)."""
+    return ((a, min(a + _CHUNK, stop)) for a in range(start, stop, _CHUNK))
 
 
-@lru_cache(maxsize=4)
+def _fill_row(row: np.ndarray, first, mirror=None) -> None:
+    """Circulant first row of length L in place: entry k is first(k) at
+    lags k = 0..L/2 and entry L - k is mirror(k) at k = 1..L/2 - 1, or
+    entry k where ``mirror`` is None (a symmetric row).  The kernels
+    see one chunk of lags at a time."""
+    length = len(row)
+    half = length // 2
+    for a, b in _chunks(0, half + 1):
+        row[a:b] = first(np.arange(a, b))
+    if mirror is None:
+        row[half + 1:] = row[half - 1:0:-1]
+    else:
+        for a, b in _chunks(1, half):
+            row[length - b + 1:length - a + 1] = mirror(np.arange(a, b))[::-1]
+
+
 def _circulant_root(n: int, params: FbmParams):
     """Embedding length and the per-frequency 2x2 square root (b11, b22,
     b12) of the circulant embedding's spectral blocks on the L/2 + 1
     non-negative frequencies, after checking that every block is
-    positive semidefinite.  Cached per (n, params) and read-only, since
-    every replicate of a study shares them.  Covariance sequences,
-    circulant rows and spectra are dropped as soon as they are used and
-    the root is formed in place: each is 8-16 MB at N = 10^6."""
+    positive semidefinite.  Read-only, since the replicates of a study
+    share it (``spectral_root``).  One length-L row holds each
+    circulant row in turn and one half spectrum each transform; the
+    kernels and the root run chunk by chunk, in place."""
     length = _embedding_length(n)
-    lam11 = _auto_spectrum(length, params.hurst1, params.sigma1)
-    lam22 = _auto_spectrum(length, params.hurst2, params.sigma2)
+    row = np.empty(length)
+    _fill_row(row, lambda k: fgn_autocov(k, params.hurst1, params.sigma1))
+    spectrum = np.fft.rfft(row)
+    lam11 = spectrum.real.copy()
+    _fill_row(row, lambda k: fgn_autocov(k, params.hurst2, params.sigma2))
+    lam22 = np.fft.rfft(row, out=spectrum).real.copy()
     # Cross block oriented so that E[eps1(t) eps2(t+k)] = gamma12(k).
-    lags = np.arange(length // 2 + 1)
-    lam12 = np.fft.rfft(_embed(np.asarray(fgn_cross_cov(-lags, params)),
-                               np.asarray(fgn_cross_cov(lags, params))))
-    del lags
+    _fill_row(row, lambda k: fgn_cross_cov(-k, params),
+              lambda k: fgn_cross_cov(k, params))
+    lam12 = np.fft.rfft(row, out=spectrum)
+    del row, spectrum
     # The L/2 + 1 bins cover all L: lam11 and lam22 are symmetric and
     # lam12 at L - k is conj(lam12 at k), so the block at L - k is the
     # conjugate of the block at k, with the same eigenvalues.
@@ -178,62 +189,78 @@ def _circulant_root(n: int, params: FbmParams):
         raise ValueError("circulant embedding has negative auto spectrum")
     np.clip(lam11, 0.0, None, out=lam11)
     np.clip(lam22, 0.0, None, out=lam22)
-    det = lam11 * lam22
-    det -= np.abs(lam12) ** 2
-    if det.min() < -_EMBED_TOL * scale ** 2:
-        raise ValueError(
-            f"circulant embedding of length {length} is not positive "
-            "semidefinite"
-        )
-    np.clip(det, 0.0, None, out=det)
-
-    # sqrt(M) = (M + sqrt(det) I) / sqrt(trace + 2 sqrt(det)) for 2x2 PSD.
-    sq_det = np.sqrt(det, out=det)
-    denom = lam11 + lam22
-    denom += 2.0 * sq_det
-    np.sqrt(np.clip(denom, 1e-300, None, out=denom), out=denom)
-    for block in (lam11, lam22):
-        block += sq_det
+    for a, b in _chunks(0, len(lam11)):
+        b11, b22, b12 = lam11[a:b], lam22[a:b], lam12[a:b]
+        det = b11 * b22
+        det -= np.abs(b12) ** 2
+        if det.min() < -_EMBED_TOL * scale ** 2:
+            raise ValueError(
+                f"circulant embedding of length {length} is not positive "
+                "semidefinite"
+            )
+        np.clip(det, 0.0, None, out=det)
+        # sqrt(M) = (M + sqrt(det) I) / sqrt(trace + 2 sqrt(det)) for
+        # 2x2 PSD M.
+        sq_det = np.sqrt(det, out=det)
+        denom = b11 + b22
+        denom += 2.0 * sq_det
+        np.sqrt(np.clip(denom, 1e-300, None, out=denom), out=denom)
+        for block in (b11, b22):
+            block += sq_det
+        for block in (b11, b22, b12):
+            block /= denom
     for block in (lam11, lam22, lam12):
-        block /= denom
         block.setflags(write=False)
     return length, lam11, lam22, lam12
 
 
+def _half_spectrum(rng: np.random.Generator, half: int) -> np.ndarray:
+    """One component's L = 2 half normals on its L/2 + 1 bins: the first
+    L/2 + 1 are the real parts of bins 0..L/2, the other L/2 - 1 the
+    imaginary parts of bins 1..L/2 - 1.  Bins 0 and L/2 stay real with
+    unit variance; interior bins are scaled to E|xi|^2 = 1."""
+    xi = np.empty(half + 1, dtype=complex)
+    for a, b in _chunks(0, half + 1):
+        xi.real[a:b] = rng.standard_normal(b - a)
+    xi.imag[[0, half]] = 0.0
+    for a, b in _chunks(1, half):
+        xi.imag[a:b] = rng.standard_normal(b - a)
+    xi[1:half] *= math.sqrt(0.5)
+    return xi
+
+
 def _gen_bfgn_circulant(n: int, params: FbmParams,
-                        rng: np.random.Generator
+                        rng: np.random.Generator, root=None
                         ) -> tuple[np.ndarray, np.ndarray]:
-    length, b11, b22, b12 = _circulant_root(n, params)
-    # One (2, L) block of normals: entries 0..L/2 of each row are the
-    # real parts of bins 0..L/2, the other L/2 - 1 the imaginary parts of
-    # bins 1..L/2 - 1.  Bins 0 and L/2 stay real with unit variance;
-    # interior bins are scaled to E|xi|^2 = 1.
+    """The pair from ``root``, or from the root of (n, params), which is
+    then dropped before the inverse transforms."""
+    length, b11, b22, b12 = root or _circulant_root(n, params)
     half = length // 2
-    z = rng.standard_normal((2, length))
-    xi = z[:, :half + 1].astype(complex)
-    xi.imag[:, 1:half] = z[:, half + 1:]
-    del z
-    xi[:, 1:half] *= math.sqrt(0.5)
-    xi1, xi2 = xi
-    # Mixed in place and freed as soon as used (16-32 MB at N = 10^6).
-    w1 = b11 * xi1
-    w1 += b12 * xi2
-    w2 = np.conj(b12) * xi1
-    w2 += b22 * xi2
-    del xi, xi1, xi2
-    # The Hermitian extension of w makes the inverse transform real;
-    # norm="ortho" is sqrt(L) * irfft.
-    y1 = np.fft.irfft(w1, length, norm="ortho")
-    del w1
-    y2 = np.fft.irfft(w2, length, norm="ortho")
-    return y1[:n], y2[:n]
+    xi1 = _half_spectrum(rng, half)
+    xi2 = _half_spectrum(rng, half)
+    # The two half spectra are mixed bin by bin, in place.
+    for a, b in _chunks(0, half + 1):
+        x1, x2 = xi1[a:b], xi2[a:b]
+        w2 = np.conj(b12[a:b]) * x1
+        w2 += b22[a:b] * x2
+        np.multiply(b11[a:b], x1, out=x1)
+        x1 += b12[a:b] * x2
+        x2[:] = w2
+    del b11, b22, b12
+    # The Hermitian extension of xi makes the inverse transform real;
+    # norm="ortho" is sqrt(L) * irfft.  Only the first n samples are
+    # kept, in arrays of their own.
+    y1 = np.fft.irfft(xi1, length, norm="ortho")[:n].copy()
+    del xi1
+    y2 = np.fft.irfft(xi2, length, norm="ortho")[:n].copy()
+    return y1, y2
 
 
-def gen_bfgn(spec: SimSpec, replicate: int = 0) -> SeriesPair:
+def gen_bfgn(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
     """Draw one bivariate fGn pair with the marginal Hurst exponents and
     instantaneous cross-correlation of ``spec.params``."""
     rng = replicate_rng(spec.seed, replicate)
-    return _bfgn_from_rng(spec.n_samples, spec.params, rng)
+    return _bfgn_from_rng(spec.n_samples, spec.params, rng, root)
 
 
 def _bfgn_exists(params: FbmParams) -> bool:
@@ -255,14 +282,14 @@ def _bfgn_exists(params: FbmParams) -> bool:
     return lhs <= rhs * (1.0 + _EMBED_TOL)
 
 
-def _bfgn_from_rng(n: int, params: FbmParams,
-                   rng: np.random.Generator) -> SeriesPair:
+def _bfgn_from_rng(n: int, params: FbmParams, rng: np.random.Generator,
+                   root=None) -> SeriesPair:
     """Circulant embedding, or the dense Cholesky factor up to
     ``DENSE_N_CAP`` samples where the minimal embedding is not PSD but
     the process exists.  A refusal says which of the two holds: the
     process does not exist, or it does and N is above the cap."""
     try:
-        y1, y2 = _gen_bfgn_circulant(n, params, rng)
+        y1, y2 = _gen_bfgn_circulant(n, params, rng, root)
     except ValueError as exc:
         if not _bfgn_exists(params):
             raise ValueError(
@@ -286,7 +313,8 @@ def _signed_power_std(phi: float) -> float:
     return math.sqrt(2.0 ** phi * math.gamma(phi + 0.5) / math.sqrt(math.pi))
 
 
-def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:
+def gen_nongaussian(spec: SimSpec, replicate: int = 0,
+                    root=None) -> SeriesPair:
     """Fractional noise with fGn second-order structure and a
     sign(g)|g|^phi marginal driving noise.
 
@@ -300,8 +328,8 @@ def gen_nongaussian(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     """
     rng = replicate_rng(spec.seed, replicate)
     p = spec.params
-    length, gain1, gain2, _ = _circulant_root(
-        spec.n_samples, FbmParams(hurst1=p.hurst1, hurst2=p.hurst2))
+    length, gain1, gain2, _ = root or _circulant_root(spec.n_samples,
+                                                      _root_params(spec))
     g = rng.standard_normal((2, length))
     g[1] = p.rho * g[0] + math.sqrt(1.0 - p.rho ** 2) * g[1]
     w = np.sign(g) * np.abs(g) ** spec.phi
@@ -332,7 +360,7 @@ def _highpass(x: np.ndarray, cutoff: float) -> tuple[np.ndarray, float]:
     return np.fft.irfft(spec, n=n), frac
 
 
-def gen_mixture(spec: SimSpec, replicate: int = 0) -> SeriesPair:
+def gen_mixture(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
     """Independent long-range pair plus correlated high-passed white pair.
 
     The long-range component is bivariate fGn with the requested Hurst
@@ -343,8 +371,7 @@ def gen_mixture(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     """
     rng = replicate_rng(spec.seed, replicate)
     p = spec.params
-    lr = _bfgn_from_rng(spec.n_samples,
-                        FbmParams(hurst1=p.hurst1, hurst2=p.hurst2), rng)
+    lr = _bfgn_from_rng(spec.n_samples, _root_params(spec), rng, root)
 
     z1 = rng.standard_normal(spec.n_samples)
     z2 = spec.sr_rho * z1 + math.sqrt(1.0 - spec.sr_rho ** 2) \
@@ -382,16 +409,39 @@ def add_trend(pair: SeriesPair, coeffs1, coeffs2,
     return SeriesPair.from_increments(pair.y1 + q1, pair.y2 + q2)
 
 
-def generate(spec: SimSpec, replicate: int = 0) -> SeriesPair:
+def _root_params(spec: SimSpec) -> FbmParams:
+    """Parameters of the circulant root a simulation kind draws from:
+    the non-Gaussian filter and the mixture's long-range pair take an
+    uncorrelated unit-scale pair."""
+    p = spec.params
+    if spec.kind in ("nongaussian", "mixture"):
+        return FbmParams(hurst1=p.hurst1, hurst2=p.hurst2)
+    return p
+
+
+def spectral_root(spec: SimSpec):
+    """The circulant root that every replicate of ``spec`` shares, to be
+    handed to ``generate``; None where the embedding is not positive
+    semidefinite, so that each replicate takes its own path (the dense
+    fallback or the refusal)."""
+    try:
+        return _circulant_root(spec.n_samples, _root_params(spec))
+    except ValueError:
+        return None
+
+
+def generate(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
     """Dispatch on the simulation kind; ``replicate`` selects an
-    independent stream derived from (seed, replicate)."""
+    independent stream derived from (seed, replicate).  ``root`` is
+    ``spectral_root(spec)`` where a caller draws several replicates;
+    without it the root is computed for this pair alone."""
     if spec.kind == "bfgn":
-        return gen_bfgn(spec, replicate=replicate)
+        return gen_bfgn(spec, replicate, root)
     if spec.kind == "nongaussian":
-        return gen_nongaussian(spec, replicate=replicate)
+        return gen_nongaussian(spec, replicate, root)
     if spec.kind == "mixture":
-        return gen_mixture(spec, replicate=replicate)
+        return gen_mixture(spec, replicate, root)
     pair = _bfgn_from_rng(spec.n_samples, spec.params,
-                          replicate_rng(spec.seed, replicate))
+                          replicate_rng(spec.seed, replicate), root)
     return add_trend(pair, spec.trend_coeffs1, spec.trend_coeffs2,
                      spec.trend_target)

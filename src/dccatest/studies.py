@@ -19,7 +19,7 @@ from .asymptotics import CovTable, rho_null_cov, worst_case_cov
 from .fbm import FbmParams
 from .fluctuation import fluctuation_analysis
 from .series import make_scales
-from .simulate import SimSpec, generate
+from .simulate import SimSpec, generate, spectral_root
 from .testkit import GaussianTailPool, pool_normals, scaled_rho, \
     test_statistic
 
@@ -43,15 +43,17 @@ def _rho_vectors(kind: str, params: FbmParams, n_samples: int, scale_set,
                  replicates: int, seed: int, phi: float = 3.0,
                  progress=None) -> np.ndarray:
     """Scaled rho vectors of simulated pairs, one row per replicate; the
-    replicate streams derive from (seed, index)."""
+    replicate streams derive from (seed, index) and share one spectral
+    root."""
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     counts = scale_set.window_counts(n_samples)
     spec = SimSpec(kind=kind, n_samples=n_samples, params=params, phi=phi,
                    seed=seed)
+    root = spectral_root(spec)
     out = np.empty((replicates, scale_set.r))
     for i in range(replicates):
-        fl = fluctuation_analysis(generate(spec, replicate=i), scale_set)
+        fl = fluctuation_analysis(generate(spec, i, root), scale_set)
         out[i] = scaled_rho(fl.rho, counts)
         if progress is not None:
             progress(i + 1, replicates)

@@ -5,6 +5,7 @@ window or entry by entry, so the tests can check the vectorised code of
 the package against it.
 """
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,7 +16,10 @@ from dccatest.asymptotics import (_cross_cov_disp_batch, rho_null_cov,
 from dccatest.fbm import (_LOG_BRANCH_TOL, FbmParams, _xlogx, fgn_autocov,
                          fgn_cross_cov)
 from dccatest.fluctuation import _window_residuals, poly_basis
-from dccatest.series import make_scales
+from dccatest.series import SeriesPair, make_scales
+from dccatest.simulate import (_EMBED_TOL, DENSE_N_CAP, SimSpec, _bfgn_exists,
+                               _embedding_length, _gen_bfgn_dense, _highpass,
+                               _signed_power_std, add_trend, replicate_rng)
 from dccatest.testkit import GaussianTailPool
 
 
@@ -224,3 +228,136 @@ def upperbound_rows(table, *, n_samples: int, level: float, n_min: int,
             node.update({f"bound_n{n}": b for n, b in zip(scales, bounds)})
             rows.append(node)
     return rows + [worst]
+
+
+# The whole-array circulant generator: every covariance sequence, row,
+# spectrum, draw block and inverse transform at full length.  The
+# package's chunked generator must give the same bytes.
+
+def _embed(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    return np.concatenate([pos, neg[-2:0:-1]])
+
+
+def _whole_auto_spectrum(length: int, hurst: float,
+                         sigma: float) -> np.ndarray:
+    x = np.asarray(fgn_autocov(np.arange(length // 2 + 1), hurst, sigma))
+    return np.fft.rfft(_embed(x, x)).real.copy()
+
+
+def whole_array_root(n: int, params: FbmParams):
+    """Embedding length and the 2x2 spectral root (b11, b22, b12)."""
+    length = _embedding_length(n)
+    lam11 = _whole_auto_spectrum(length, params.hurst1, params.sigma1)
+    lam22 = _whole_auto_spectrum(length, params.hurst2, params.sigma2)
+    lags = np.arange(length // 2 + 1)
+    lam12 = np.fft.rfft(_embed(np.asarray(fgn_cross_cov(-lags, params)),
+                               np.asarray(fgn_cross_cov(lags, params))))
+    scale = max(lam11.max(), lam22.max())
+    if lam11.min() < -_EMBED_TOL * scale or lam22.min() < -_EMBED_TOL * scale:
+        raise ValueError("circulant embedding has negative auto spectrum")
+    np.clip(lam11, 0.0, None, out=lam11)
+    np.clip(lam22, 0.0, None, out=lam22)
+    det = lam11 * lam22
+    det -= np.abs(lam12) ** 2
+    if det.min() < -_EMBED_TOL * scale ** 2:
+        raise ValueError("circulant embedding is not positive semidefinite")
+    np.clip(det, 0.0, None, out=det)
+    sq_det = np.sqrt(det, out=det)
+    denom = lam11 + lam22
+    denom += 2.0 * sq_det
+    np.sqrt(np.clip(denom, 1e-300, None, out=denom), out=denom)
+    for block in (lam11, lam22):
+        block += sq_det
+    for block in (lam11, lam22, lam12):
+        block /= denom
+    return length, lam11, lam22, lam12
+
+
+def _whole_array_circulant(n, params, rng):
+    length, b11, b22, b12 = whole_array_root(n, params)
+    half = length // 2
+    z = rng.standard_normal((2, length))
+    xi = z[:, :half + 1].astype(complex)
+    xi.imag[:, 1:half] = z[:, half + 1:]
+    xi[:, 1:half] *= math.sqrt(0.5)
+    xi1, xi2 = xi
+    w1 = b11 * xi1
+    w1 += b12 * xi2
+    w2 = np.conj(b12) * xi1
+    w2 += b22 * xi2
+    y1 = np.fft.irfft(w1, length, norm="ortho")
+    y2 = np.fft.irfft(w2, length, norm="ortho")
+    return y1[:n], y2[:n]
+
+
+def _whole_array_bfgn(n, params, rng) -> SeriesPair:
+    try:
+        y1, y2 = _whole_array_circulant(n, params, rng)
+    except ValueError:
+        if not _bfgn_exists(params) or n > DENSE_N_CAP:
+            raise
+        y1, y2 = _gen_bfgn_dense(n, params, rng)
+    return SeriesPair.from_increments(y1, y2)
+
+
+def whole_array_generate(spec: SimSpec, replicate: int = 0) -> SeriesPair:
+    """``simulate.generate`` on the whole-array circulant generator."""
+    rng = replicate_rng(spec.seed, replicate)
+    p = spec.params
+    uncorrelated = FbmParams(hurst1=p.hurst1, hurst2=p.hurst2)
+    if spec.kind == "nongaussian":
+        length, gain1, gain2, _ = whole_array_root(spec.n_samples,
+                                                   uncorrelated)
+        g = rng.standard_normal((2, length))
+        g[1] = p.rho * g[0] + math.sqrt(1.0 - p.rho ** 2) * g[1]
+        w = np.sign(g) * np.abs(g) ** spec.phi
+        y = np.fft.irfft(np.fft.rfft(w) * (gain1, gain2), length)
+        y = y[:, :spec.n_samples] / _signed_power_std(spec.phi)
+        return SeriesPair.from_increments(p.sigma1 * y[0], p.sigma2 * y[1])
+    if spec.kind == "mixture":
+        lr = _whole_array_bfgn(spec.n_samples, uncorrelated, rng)
+        z1 = rng.standard_normal(spec.n_samples)
+        z2 = spec.sr_rho * z1 + math.sqrt(1.0 - spec.sr_rho ** 2) \
+            * rng.standard_normal(spec.n_samples)
+        hp1, frac = _highpass(z1, spec.cutoff)
+        hp2, _ = _highpass(z2, spec.cutoff)
+        w_lr = math.sqrt(1.0 - spec.weight)
+        w_sr = math.sqrt(spec.weight / frac)
+        return SeriesPair.from_increments(
+            p.sigma1 * (w_lr * lr.y1 + w_sr * hp1),
+            p.sigma2 * (w_lr * lr.y2 + w_sr * hp2))
+    pair = _whole_array_bfgn(spec.n_samples, p, rng)
+    if spec.kind == "trended":
+        pair = add_trend(pair, spec.trend_coeffs1, spec.trend_coeffs2,
+                         spec.trend_target)
+    return pair
+
+
+def _long_double_basis(n: int, degree: int) -> np.ndarray:
+    """Orthonormal basis of degree-d polynomials on 1..n in long double:
+    modified Gram-Schmidt, run twice, on centred powers."""
+    t = np.arange(1, n + 1, dtype=np.longdouble)
+    x = t - t.mean()
+    q = np.empty((n, degree + 1), dtype=np.longdouble)
+    for p in range(degree + 1):
+        v = x ** p
+        for _ in range(2):
+            for j in range(p):
+                v = v - (q[:, j] @ v) * q[:, j]
+        q[:, p] = v / np.sqrt(v @ v)
+    return q
+
+
+def long_double_fluctuations(x1: np.ndarray, x2: np.ndarray, scales,
+                             degree: int) -> np.ndarray:
+    """(F2_cross, F2_auto1, F2_auto2) per scale, one row each, from
+    residuals and sums taken in long double on the given profiles."""
+    out = []
+    for n in scales:
+        m = len(x1) // n
+        q = _long_double_basis(n, degree)
+        ra, rb = (w - (w @ q) @ q.T for w in (
+            x[:m * n].astype(np.longdouble).reshape(m, n) for x in (x1, x2)))
+        out.append([np.sum(ra * rb) / (m * n), np.sum(ra * ra) / (m * n),
+                    np.sum(rb * rb) / (m * n)])
+    return np.array(out, dtype=np.longdouble)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,9 @@ def test_main_judges_the_claimed_workload(bench, tmp_path, monkeypatch):
         if workload == "long" and tree.name == "change":
             value -= 1.0
         return {"correct": 1, "failed": 0, "attempted": 1,
-                "metrics": {"session_s": {"value": value}}}
+                "metrics": {"session_s": {"value": value}},
+                "rounds": [[{"name": "op", "seconds": value,
+                             "peak_rss_mb": 100.0 + seed}]]}
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench, "copy_trees", lambda root, parent, work: {
@@ -88,3 +91,36 @@ def test_main_judges_the_claimed_workload(bench, tmp_path, monkeypatch):
     assert out["claim"]["wins"] == "10/10" and out["claim"]["holds"]
     assert out["workloads"]["study"]["verdict"]["session_s"][
         "change_lower_in_pairs"] == "0/10"
+    ops = out["workloads"]["long"]["change"]["operations"]
+    assert ops == {"op": {"rounds": 10, "peak_rss_mb_max": 110.0,
+                          "seconds_median": pytest.approx(3.055)}}
+
+
+# A stand-in benchmark run: it leaves the results file of one session of
+# two rounds behind and prints the summary line.
+FAKE_RUN = """
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+rounds = [[{"name": "simulate", "seconds": 1.0 + seed + r,
+            "peak_rss_mb": 120.0 + seed},
+           {"name": "analyze", "seconds": 2.0, "peak_rss_mb": 85.0 - seed}]
+          for r in range(2)]
+out = pathlib.Path("sessionbench", "results")
+out.mkdir(parents=True, exist_ok=True)
+(out / f"{args['--workload']}-seed{seed}-trace0.json").write_text(
+    json.dumps({"rounds": rounds}))
+print("environment: {}")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0}))
+"""
+
+
+def test_per_process_table_reads_each_runs_results(bench, tmp_path):
+    runs = [bench.run_session(tmp_path, [sys.executable, "-c", FAKE_RUN],
+                              "long", seed, 1) for seed in (1, 2)]
+    assert runs[0]["attempted"] == 4 and len(runs[0]["rounds"]) == 2
+    assert bench.operations(runs) == {
+        "simulate": {"rounds": 4, "seconds_median": 3.0,
+                     "peak_rss_mb_max": 122.0},
+        "analyze": {"rounds": 4, "seconds_median": 2.0,
+                    "peak_rss_mb_max": 84.0}}

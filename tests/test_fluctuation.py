@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dccatest.fluctuation import (fluctuation_analysis, hurst_estimate,
-                                  rho_dcca, sign_log)
+from dccatest.fluctuation import (BLOCK, fluctuation_analysis,
+                                  hurst_estimate, rho_dcca, sign_log)
 from dccatest.series import SeriesPair, make_scales
 from dccatest.fbm import FbmParams
 from dccatest.simulate import SimSpec, gen_bfgn
-from oracles import dcca_coeff, detrend_window
+from oracles import dcca_coeff, detrend_window, long_double_fluctuations
 
 
 def test_detrend_trivial():
@@ -172,3 +174,58 @@ def test_hurst_monte_carlo_oracle():
         est = hurst_estimate(fl.f2_auto1, fl.scales)
         hits += (0.75 <= est.h_hat <= 0.85)
     assert hits >= 0.9 * reps
+
+
+@pytest.mark.parametrize("shift, tol", [(100.0, 1.3e-11), (1e4, 1.3e-9)])
+def test_fluctuations_of_trended_input_match_long_double(shift, tol):
+    # A constant added to every increment is a steep linear trend of the
+    # profile, which detrending removes with cancellation.  Against
+    # residuals taken in long double, the fluctuations stay within the
+    # error of per-window least-squares residuals (1.24e-11 and 1.26e-9
+    # of sqrt(F2_auto1 F2_auto2) at shifts 100 and 10^4).
+    n = 200_000
+    base = gen_bfgn(SimSpec(kind="bfgn", n_samples=n, seed=1,
+                            params=FbmParams(hurst1=0.7, hurst2=0.8,
+                                             rho=0.5)))
+    pair = SeriesPair.from_increments(base.y1 + shift, base.y2 + shift)
+    ss = make_scales(n, 16, n // 4, 10, 1)
+    fl = fluctuation_analysis(pair, ss)
+    ref = long_double_fluctuations(pair.x1, pair.x2, ss.scales, ss.degree)
+    got = np.column_stack([fl.f2_cross, fl.f2_auto1, fl.f2_auto2])
+    norm = np.sqrt(ref[:, 1] * ref[:, 2])[:, None]
+    assert float(np.max(np.abs(got - ref) / norm)) <= tol
+
+
+def test_fluctuation_stage_works_a_block_at_a_time():
+    # At N = 2^18 the windows of the small scales span four blocks of
+    # BLOCK samples.  Whole-series residuals peaked at 8.0 MiB of numpy
+    # buffers; blocks of windows peak at 1.5 MiB (profiles and
+    # polynomial bases made beforehand).
+    n = 1 << 18
+    assert n > 2 * BLOCK
+    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=n, seed=1,
+                            params=FbmParams(hurst1=0.7, hurst2=0.8,
+                                             rho=0.5)))
+    ss = make_scales(n, 16, n // 4, 10, 1)
+    warm = fluctuation_analysis(pair, ss)
+    tracemalloc.start()
+    try:
+        fl = fluctuation_analysis(pair, ss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
+    assert fl.rho.tobytes() == warm.rho.tobytes()
+
+
+def test_a_series_of_one_block_keeps_whole_series_arithmetic(rng):
+    # Up to BLOCK samples the stage is one block: each statistic is the
+    # whole-series sum of residual products, bit for bit.
+    x1, x2 = np.cumsum(rng.standard_normal((2, BLOCK)), axis=1)
+    pair = SeriesPair.from_profiles(x1, x2)
+    ss = make_scales(BLOCK, 16, BLOCK // 4, 8, 2)
+    fl = fluctuation_analysis(pair, ss)
+    for i, n in enumerate(ss.scales):
+        assert fl.f2_cross[i] == dcca_coeff(pair.x1, pair.x2, n, 2)
+        assert fl.f2_auto1[i] == dcca_coeff(pair.x1, pair.x1, n, 2)
+        assert fl.f2_auto2[i] == dcca_coeff(pair.x2, pair.x2, n, 2)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,19 +10,21 @@ from scipy.stats import ks_2samp
 from dccatest.fbm import FbmParams, fgn_autocov
 from dccatest.fluctuation import fluctuation_analysis, hurst_estimate
 from dccatest.series import make_scales
-from dccatest.simulate import (SimSpec, _bfgn_exists, _bfgn_from_rng,
-                               _circulant_root, _embedding_length,
-                               _gen_bfgn_circulant, _gen_bfgn_dense,
-                               _highpass, _signed_power_std,
+from dccatest.simulate import (_CHUNK, SimSpec, _bfgn_exists,
+                               _bfgn_from_rng, _circulant_root,
+                               _embedding_length, _gen_bfgn_circulant,
+                               _gen_bfgn_dense, _highpass, _signed_power_std,
                                add_trend, gen_bfgn, gen_mixture,
-                               gen_nongaussian, generate, replicate_rng)
-from oracles import bfgn_joint_cov
+                               gen_nongaussian, generate, replicate_rng,
+                               spectral_root)
+from oracles import bfgn_joint_cov, whole_array_generate
 
 
-def _spec(kind="bfgn", n=4096, h=0.7, g=0.8, rho=0.0, seed=0, **kw):
+def _spec(kind="bfgn", n=4096, h=0.7, g=0.8, rho=0.0, eta=0.0, seed=0,
+          **kw):
     return SimSpec(kind=kind, n_samples=n,
-                   params=FbmParams(hurst1=h, hurst2=g, rho=rho), seed=seed,
-                   **kw)
+                   params=FbmParams(hurst1=h, hurst2=g, rho=rho, eta=eta),
+                   seed=seed, **kw)
 
 
 def test_determinism_and_replicates():
@@ -32,17 +35,20 @@ def test_determinism_and_replicates():
     assert not np.array_equal(a.y1, c.y1)
 
 
-def test_spectral_roots_cached_read_only():
-    # Replicates share one circulant root per (n, params); no caller can
-    # change it for the next replicate.
-    params = _spec().params
-    root = _circulant_root(4096, params)
-    assert _circulant_root(4096, params) is root
+def test_spectral_root_shared_read_only():
+    # Replicates share one circulant root, computed once by their caller;
+    # no replicate can change it for the next.
+    root = spectral_root(_spec(rho=0.4))
     # It lives on the L/2 + 1 non-negative frequencies only.
     half = _embedding_length(4096) // 2 + 1
     for block in root[1:]:
         assert len(block) == half
         assert not block.flags.writeable
+    # Where the embedding is not PSD there is no shared root: each
+    # replicate takes the dense fallback on its own.
+    dense = SimSpec(kind="bfgn", n_samples=1000, params=FbmParams(
+        hurst1=0.857, hurst2=0.911, rho=0.249, eta=0.315))
+    assert spectral_root(dense) is None
 
 
 def _is_5_smooth(m):
@@ -65,7 +71,7 @@ def test_embedding_length_smallest_even_5_smooth(n):
 def test_circulant_root_at_one_million_lags():
     # Near H = 1 the spectrum is small at high frequencies; with the
     # kernel's lost digits at large lags it went negative at N = 10^6.
-    length, b11, b22, b12 = _circulant_root.__wrapped__(
+    length, b11, b22, b12 = _circulant_root(
         10**6, FbmParams(hurst1=0.98, hurst2=0.98))
     assert length == 2 * 10**6 and len(b11) == 10**6 + 1
 
@@ -132,16 +138,18 @@ def test_bfgn_dense_and_circulant_agree_in_distribution():
 
 
 class _UnitDraws:
-    """Stand-in generator: its k-th ``standard_normal`` call returns the
-    k-th unit vector of the requested shape."""
+    """Stand-in generator whose stream of normals is 0 except for a 1 at
+    draw k, however the draws are split into calls."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, k):
+        self.k = k
+        self.drawn = 0
 
     def standard_normal(self, shape):
         z = np.zeros(shape)
-        z.flat[self.calls] = 1.0
-        self.calls += 1
+        if 0 <= self.k - self.drawn < z.size:
+            z.flat[self.k - self.drawn] = 1.0
+        self.drawn += z.size
         return z
 
 
@@ -158,9 +166,8 @@ def test_circulant_embedding_exact_covariance(n, params):
     # (eta != 0 makes the cross block asymmetric), and every draw must
     # reach the output.
     length = _embedding_length(n)
-    stub = _UnitDraws()
-    cols = [np.concatenate(_gen_bfgn_circulant(n, params, stub))
-            for _ in range(2 * length)]
+    cols = [np.concatenate(_gen_bfgn_circulant(n, params, _UnitDraws(k)))
+            for k in range(2 * length)]
     m = np.column_stack(cols)
     target = bfgn_joint_cov(n, params)
     assert np.abs(m @ m.T - target).max() <= 1e-10 * np.abs(target).max()
@@ -210,6 +217,54 @@ def test_dense_fallback_draws_the_dense_pair():
     y1, y2 = _gen_bfgn_dense(1000, params, replicate_rng(0, 0))
     assert pair.y1.tobytes() == y1.tobytes()
     assert pair.y2.tobytes() == y2.tobytes()
+
+
+_TRENDS = dict(trend_coeffs1=(1.0, 0.5), trend_coeffs2=(0.0, 0.0, 1e-4))
+
+
+@pytest.mark.parametrize("spec", [
+    # One chunk; L = 90,000 is 5-smooth but not a power of two.
+    _spec(rho=0.5, eta=0.1, n=3000, seed=3),
+    _spec(rho=0.5, eta=0.1, n=45_000, seed=3),
+    # L = 2^17: L/2 + 1 bins are one past a chunk, L/2 - 1 one short.
+    _spec(rho=0.5, eta=0.1, n=_CHUNK, seed=3),
+    _spec(rho=0.5, eta=0.1, n=_CHUNK + 1, seed=3),      # L = 131,220
+    _spec(rho=0.5, eta=0.1, n=2 * _CHUNK, seed=3),      # L = 2^18
+    _spec(kind="nongaussian", rho=0.3, n=_CHUNK + 1, seed=3),
+    _spec(kind="mixture", rho=0.3, n=_CHUNK + 1, seed=3),
+    _spec(kind="trended", rho=0.3, n=_CHUNK + 1, seed=3, **_TRENDS),
+    # Not PSD at this N: the dense fallback.
+    SimSpec(kind="bfgn", n_samples=1000, seed=3, params=FbmParams(
+        hurst1=0.857, hurst2=0.911, rho=0.249, eta=0.315)),
+], ids=lambda spec: f"{spec.kind}-{spec.n_samples}")
+def test_generate_matches_the_whole_array_generator(spec):
+    # Chunked kernels, draws and mixing keep every operand and its
+    # order: the pairs are the whole-array generator's, byte for byte,
+    # with a shared root or without.
+    want = whole_array_generate(spec, replicate=2)
+    for root in (None, spectral_root(spec)):
+        got = generate(spec, 2, root)
+        assert got.y1.tobytes() == want.y1.tobytes()
+        assert got.y2.tobytes() == want.y2.tobytes()
+
+
+def test_generate_holds_no_full_length_arrays():
+    # bfGn at N = 2^18 (L = 2^19): numpy's buffers peak at 28.1 MiB with
+    # whole-array draws and mixing and a cached root, and at 18.1 MiB
+    # chunked (pocketfft's own scratch is not traced).  The increments
+    # own their N samples, and nothing else is kept.
+    spec = _spec(rho=0.5, eta=0.1, n=1 << 18, seed=1)
+    generate(_spec(n=64))
+    tracemalloc.start()
+    try:
+        pair = generate(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
+    assert kept < 4.5 * 2**20, kept / 2**20
+    for y in (pair.y1, pair.y2):
+        assert y.flags.owndata and len(y) == 1 << 18
 
 
 def test_nonexistent_bfgn_refused_without_dense_attempt():

@@ -15,10 +15,12 @@ suite runs on both sides, the change first.
 
 The file holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and the no-regression
-verdict against the metric's bound.  With ``--claim WORKLOAD:METRIC`` it
-also holds the claim rule's verdict: the change wins at least nine
-tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range, with no larger share of failed operations.
+verdict against the metric's bound; per workload, side and operation,
+the median wall time and the largest peak RSS of its processes.  With
+``--claim WORKLOAD:METRIC`` it also holds the claim rule's verdict: the
+change wins at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's interquartile range, with no larger
+share of failed operations.
 """
 
 from __future__ import annotations
@@ -84,12 +86,33 @@ def copy_trees(root: Path, parent: str, work: Path) -> dict:
 
 def run_session(tree: Path, command: list, workload: str, seed: int,
                 seconds: float) -> dict:
-    """The JSON object on the last line of one benchmark run's stdout."""
+    """The JSON object on the last line of one benchmark run's stdout,
+    with the ``rounds`` of per-operation results the run wrote to
+    ``sessionbench/results``."""
     out = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    record = tree / "sessionbench" / "results" / \
+        f"{workload}-seed{seed}-trace0.json"
+    return {**json.loads(out.strip().splitlines()[-1]),
+            "rounds": json.loads(record.read_text("utf-8"))["rounds"]}
+
+
+def operations(runs: list) -> dict:
+    """Per operation of a side's runs: the median ``seconds`` and the max
+    ``peak_rss_mb`` over every round, and the number of rounds; so a
+    BENCH file shows which process sets the session's peak RSS."""
+    ops = {}
+    for run in runs:
+        for rnd in run["rounds"]:
+            for op in rnd:
+                ops.setdefault(op["name"], []).append(op)
+    return {name: {"rounds": len(rs),
+                   "seconds_median": statistics.median(
+                       r["seconds"] for r in rs),
+                   "peak_rss_mb_max": max(r["peak_rss_mb"] for r in rs)}
+            for name, rs in ops.items()}
 
 
 def run_tier1(tree: Path) -> dict:
@@ -195,6 +218,7 @@ def run_pairs(trees: dict, bench: dict, workload: str) -> dict:
         for metric in metrics:
             result[side][metric["name"]] = spread(
                 [r["metrics"][metric["name"]]["value"] for r in runs[side]])
+        result[side]["operations"] = operations(runs[side])
     result["verdict"] = {m["name"]: verdict(m, result["parent"][m["name"]],
                                             result["change"][m["name"]])
                          for m in metrics}
