@@ -20,8 +20,7 @@ from .asymptotics import (CovTable, NullCovariance, fluct_mean_exact,
                           worst_case_cov)
 from .testkit import (GaussianTailPool, TestConfig, TestOutcome, stat_dcca,
                       test_statistic)
-from .simulate import (SimSpec, add_trend, gen_bfgn, gen_mixture,
-                       gen_nongaussian, generate)
+from .simulate import SimSpec, add_trend, generate
 
 __all__ = [
     "__version__",
@@ -34,6 +33,5 @@ __all__ = [
     "rho_null_cov", "save_covtab", "tabulate", "worst_case_cov",
     "GaussianTailPool", "TestConfig", "TestOutcome", "stat_dcca",
     "test_statistic",
-    "SimSpec", "add_trend", "gen_bfgn", "gen_mixture", "gen_nongaussian",
-    "generate",
+    "SimSpec", "add_trend", "generate",
 ]

@@ -34,8 +34,8 @@ _EMBED_TOL = 1e-9
 
 
 def replicate_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for one replicate, derived from (master seed, index) so
-    parallel schedules reproduce identical streams."""
+    """Generator for one replicate, derived from (master seed, index), so
+    that a replicate's stream does not depend on which others are drawn."""
     return np.random.default_rng(np.random.SeedSequence([master_seed, index]))
 
 
@@ -74,20 +74,16 @@ class SimSpec:
             raise ValueError("|sr_rho| must not exceed 1")
         if self.trend_target not in ("profile", "increments"):
             raise ValueError("trend target must be 'profile' or 'increments'")
+        # The high-pass filter keeps the bins with rfftfreq >= cutoff; for
+        # odd N the top bin lies below 0.5.
+        if self.kind == "mixture" \
+                and np.fft.rfftfreq(self.n_samples)[-1] < self.cutoff:
+            raise ValueError("high-pass cutoff leaves no spectral content")
 
 
 # ---------------------------------------------------------------------------
 # Bivariate fractional Gaussian noise
 # ---------------------------------------------------------------------------
-
-def _increment_cov_sequences(n_lags: int, params: FbmParams):
-    lags = np.arange(n_lags)
-    g11 = np.asarray(fgn_autocov(lags, params.hurst1, params.sigma1))
-    g22 = np.asarray(fgn_autocov(lags, params.hurst2, params.sigma2))
-    g12_pos = np.asarray(fgn_cross_cov(lags, params))
-    g12_neg = np.asarray(fgn_cross_cov(-lags, params))
-    return g11, g22, g12_pos, g12_neg
-
 
 def _gen_bfgn_dense(n: int, params: FbmParams,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -95,14 +91,15 @@ def _gen_bfgn_dense(n: int, params: FbmParams,
         raise ValueError(
             f"dense factorization capped at N={DENSE_N_CAP} (asked {n})"
         )
-    g11, g22, g12_pos, g12_neg = _increment_cov_sequences(n, params)
+    # Each kernel is evaluated at the n lags and indexed by distance.
     idx = np.arange(n)
     lag = idx[None, :] - idx[:, None]          # j - i
     dist = np.abs(lag)
     cov = np.empty((2 * n, 2 * n))
-    cov[:n, :n] = g11[dist]
-    cov[n:, n:] = g22[dist]
-    cross = np.where(lag >= 0, g12_pos[dist], g12_neg[dist])
+    cov[:n, :n] = fgn_autocov(idx, params.hurst1, params.sigma1)[dist]
+    cov[n:, n:] = fgn_autocov(idx, params.hurst2, params.sigma2)[dist]
+    cross = np.where(lag >= 0, fgn_cross_cov(idx, params)[dist],
+                     fgn_cross_cov(-idx, params)[dist])
     cov[:n, n:] = cross
     cov[n:, :n] = cross.T
     try:
@@ -256,13 +253,6 @@ def _gen_bfgn_circulant(n: int, params: FbmParams,
     return y1, y2
 
 
-def gen_bfgn(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
-    """Draw one bivariate fGn pair with the marginal Hurst exponents and
-    instantaneous cross-correlation of ``spec.params``."""
-    rng = replicate_rng(spec.seed, replicate)
-    return _bfgn_from_rng(spec.n_samples, spec.params, rng, root)
-
-
 def _bfgn_exists(params: FbmParams) -> bool:
     """Whether bivariate fBm with these parameters exists: for
     H + G != 1, rho^2 sin^2(pi (H+G)/2) + eta^2 cos^2(pi (H+G)/2) <=
@@ -313,8 +303,8 @@ def _signed_power_std(phi: float) -> float:
     return math.sqrt(2.0 ** phi * math.gamma(phi + 0.5) / math.sqrt(math.pi))
 
 
-def gen_nongaussian(spec: SimSpec, replicate: int = 0,
-                    root=None) -> SeriesPair:
+def _nongaussian(spec: SimSpec, rng: np.random.Generator,
+                 root=None) -> SeriesPair:
     """Fractional noise with fGn second-order structure and a
     sign(g)|g|^phi marginal driving noise.
 
@@ -322,20 +312,29 @@ def gen_nongaussian(spec: SimSpec, replicate: int = 0,
     filter whose gain matches the fGn spectrum, so lag covariances up to
     the series length are exact while higher-order statistics stay
     non-Gaussian (positive excess kurtosis for phi > 1).  The gains are
-    the diagonal of the bfGn root of an uncorrelated pair, whose cross
-    block is 0.  ``rho`` of the parameters sets the correlation of the
-    pre-transform Gaussian whites.
+    the diagonal of the bfGn root of an uncorrelated pair; its cross
+    block, 0, is dropped.  ``rho`` of the parameters sets the
+    correlation of the pre-transform Gaussian whites, which are mixed
+    and transformed in place, then filtered one at a time.
     """
-    rng = replicate_rng(spec.seed, replicate)
-    p = spec.params
-    length, gain1, gain2, _ = root or _circulant_root(spec.n_samples,
-                                                      _root_params(spec))
-    g = rng.standard_normal((2, length))
-    g[1] = p.rho * g[0] + math.sqrt(1.0 - p.rho ** 2) * g[1]
-    w = np.sign(g) * np.abs(g) ** spec.phi
-    y = np.fft.irfft(np.fft.rfft(w) * (gain1, gain2), length)
-    y = y[:, :spec.n_samples] / _signed_power_std(spec.phi)
-    return SeriesPair.from_increments(p.sigma1 * y[0], p.sigma2 * y[1])
+    p, n = spec.params, spec.n_samples
+    length, gain1, gain2 = (root or _circulant_root(n, _root_params(spec)))[:3]
+    whites = [rng.standard_normal(length), rng.standard_normal(length)]
+    for a, b in _chunks(0, length):
+        g1, g2 = whites[0][a:b], whites[1][a:b]
+        g2 *= math.sqrt(1.0 - p.rho ** 2)
+        g2 += p.rho * g1
+        for g in (g1, g2):
+            g[:] = np.copysign(np.abs(g) ** spec.phi, g)
+    std = _signed_power_std(spec.phi)
+    for i, gain in enumerate((gain1, gain2)):
+        spectrum = np.fft.rfft(whites[i])
+        spectrum *= gain
+        np.fft.irfft(spectrum, length, out=whites[i])
+        del spectrum
+        whites[i] = whites[i][:n] / std
+    return SeriesPair.from_increments(p.sigma1 * whites[0],
+                                      p.sigma2 * whites[1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +342,21 @@ def gen_nongaussian(spec: SimSpec, replicate: int = 0,
 # ---------------------------------------------------------------------------
 
 def _highpass(x: np.ndarray, cutoff: float) -> tuple[np.ndarray, float]:
-    """Hard spectral truncation keeping frequencies >= cutoff (cycles per
-    sample); returns the filtered series and the kept variance fraction."""
+    """Hard spectral truncation keeping frequencies >= cutoff > 0 (cycles
+    per sample); returns the filtered series and kept variance fraction."""
     n = len(x)
     spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(n)
-    keep = freqs >= cutoff
+    keep = np.fft.rfftfreq(n) >= cutoff
     spec[~keep] = 0.0
-    # Flat-spectrum variance fraction: real-FFT bins at 0 and Nyquist
-    # carry single weight, interior bins double.
-    weights = np.full(len(freqs), 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    frac = float(weights[keep].sum() / n)
+    # Flat-spectrum variance fraction: the kept bins are the top ones,
+    # each of double weight but Nyquist (even n), of single weight.
+    kept = int(keep.sum())
+    frac = (2 * kept - (kept > 0 and n % 2 == 0)) / n
     return np.fft.irfft(spec, n=n), frac
 
 
-def gen_mixture(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
+def _mixture(spec: SimSpec, rng: np.random.Generator,
+             root=None) -> SeriesPair:
     """Independent long-range pair plus correlated high-passed white pair.
 
     The long-range component is bivariate fGn with the requested Hurst
@@ -369,7 +365,6 @@ def gen_mixture(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
     weight sets the white component's share of the unit variance, which
     sigma1 and sigma2 then scale.
     """
-    rng = replicate_rng(spec.seed, replicate)
     p = spec.params
     lr = _bfgn_from_rng(spec.n_samples, _root_params(spec), rng, root)
 
@@ -378,8 +373,6 @@ def gen_mixture(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
         * rng.standard_normal(spec.n_samples)
     hp1, frac = _highpass(z1, spec.cutoff)
     hp2, _ = _highpass(z2, spec.cutoff)
-    if frac <= 0:
-        raise ValueError("high-pass cutoff leaves no spectral content")
 
     w_lr = math.sqrt(1.0 - spec.weight)
     w_sr = math.sqrt(spec.weight / frac)
@@ -431,17 +424,17 @@ def spectral_root(spec: SimSpec):
 
 
 def generate(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:
-    """Dispatch on the simulation kind; ``replicate`` selects an
+    """Draw one pair of ``spec.kind``; ``replicate`` selects an
     independent stream derived from (seed, replicate).  ``root`` is
     ``spectral_root(spec)`` where a caller draws several replicates;
     without it the root is computed for this pair alone."""
-    if spec.kind == "bfgn":
-        return gen_bfgn(spec, replicate, root)
+    rng = replicate_rng(spec.seed, replicate)
     if spec.kind == "nongaussian":
-        return gen_nongaussian(spec, replicate, root)
+        return _nongaussian(spec, rng, root)
     if spec.kind == "mixture":
-        return gen_mixture(spec, replicate, root)
-    pair = _bfgn_from_rng(spec.n_samples, spec.params,
-                          replicate_rng(spec.seed, replicate), root)
-    return add_trend(pair, spec.trend_coeffs1, spec.trend_coeffs2,
-                     spec.trend_target)
+        return _mixture(spec, rng, root)
+    pair = _bfgn_from_rng(spec.n_samples, spec.params, rng, root)
+    if spec.kind == "trended":
+        pair = add_trend(pair, spec.trend_coeffs1, spec.trend_coeffs2,
+                         spec.trend_target)
+    return pair

@@ -151,16 +151,11 @@ class GaussianTailPool:
         p = count / self.samples
         return p, np.sqrt(p * (1.0 - p) / self.samples)
 
-    def threshold(self, level: float) -> float:
-        """Smallest theta on the 0.01 grid with Pr-hat(> theta) <= level,
-        the inequality of the decision p <= level.
-
-        At most c of the M draws may lie above theta, c the largest
-        count with c / M <= level in the decision's float comparison, so
-        theta must reach the (c+1)-th largest draw; that draw is rounded
-        up to the grid.  The grid point is compared as the product
-        k * 0.01, the value returned.
-        """
+    def crossing(self, level: float) -> float:
+        """The draw a statistic must reach for p <= level: at most c of
+        the M draws may lie above it, c the largest count with
+        c / M <= level in the decision's float comparison, so it is the
+        (c+1)-th largest draw."""
         if not 1.0 / self.samples <= level < 1.0:
             raise ValueError(
                 f"level must lie in [1/{self.samples}, 1): the Monte Carlo "
@@ -168,7 +163,15 @@ class GaussianTailPool:
             )
         c = math.floor(level * self.samples)
         c = max(k for k in (c - 1, c, c + 1) if k / self.samples <= level)
-        crossing = self.values[self.samples - 1 - c]
+        return float(self.values[self.samples - 1 - c])
+
+    def threshold(self, level: float) -> float:
+        """Smallest theta on the 0.01 grid with Pr-hat(> theta) <= level,
+        the inequality of the decision p <= level: the ``crossing`` draw
+        rounded up to the grid.  The grid point is compared as the
+        product k * 0.01, the value returned.
+        """
+        crossing = self.crossing(level)
         k = math.ceil(crossing / _THETA_STEP)
         while k * _THETA_STEP < crossing:
             k += 1
@@ -291,6 +294,7 @@ class TestOutcome:
 
     statistic: float
     threshold: float
+    threshold_draw: float           # the pool draw theta* rounds up
     p_value: float
     p_stderr: float
     reject: bool
@@ -374,6 +378,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
                             config.seed)
     clock.append(time.perf_counter())
     theta_star = pool.threshold(config.level)
+    crossing = pool.crossing(config.level)
     clock.append(time.perf_counter())
     p_value, p_stderr = pool.p_values(t_obs)
 
@@ -383,6 +388,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     return TestOutcome(
         statistic=t_obs,
         threshold=theta_star,
+        threshold_draw=crossing,
         p_value=p_value,
         p_stderr=p_stderr,
         reject=reject,

@@ -300,6 +300,18 @@ def _whole_array_bfgn(n, params, rng) -> SeriesPair:
     return SeriesPair.from_increments(y1, y2)
 
 
+def highpass_kept_fraction(n: int, cutoff: float) -> float:
+    """Variance fraction of a flat spectrum that the hard high-pass at
+    ``cutoff`` keeps, from a weight per real-FFT bin: bins 0 and Nyquist
+    (even n) carry single weight, interior bins double."""
+    freqs = np.fft.rfftfreq(n)
+    weights = np.full(len(freqs), 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return float(weights[freqs >= cutoff].sum() / n)
+
+
 def whole_array_generate(spec: SimSpec, replicate: int = 0) -> SeriesPair:
     """``simulate.generate`` on the whole-array circulant generator."""
     rng = replicate_rng(spec.seed, replicate)
@@ -319,8 +331,9 @@ def whole_array_generate(spec: SimSpec, replicate: int = 0) -> SeriesPair:
         z1 = rng.standard_normal(spec.n_samples)
         z2 = spec.sr_rho * z1 + math.sqrt(1.0 - spec.sr_rho ** 2) \
             * rng.standard_normal(spec.n_samples)
-        hp1, frac = _highpass(z1, spec.cutoff)
+        hp1, _ = _highpass(z1, spec.cutoff)
         hp2, _ = _highpass(z2, spec.cutoff)
+        frac = highpass_kept_fraction(spec.n_samples, spec.cutoff)
         w_lr = math.sqrt(1.0 - spec.weight)
         w_sr = math.sqrt(spec.weight / frac)
         return SeriesPair.from_increments(

@@ -78,15 +78,26 @@ def test_main_judges_the_claimed_workload(bench, tmp_path, monkeypatch):
                 "rounds": [[{"name": "op", "seconds": value,
                              "peak_rss_mb": 100.0 + seed}]]}
 
+    def copy_trees(root, parent, work):
+        # Stub trees whose package modules have 3 and 2 lines.
+        trees = {side: work / side for side in bench.SIDES}
+        for side, text in (("parent", "a\nb\n"), ("change", "a\n")):
+            package = trees[side] / "src" / "dccatest"
+            package.mkdir(parents=True)
+            (package / "__init__.py").write_text("x\n")
+            (package / "mod.py").write_text(text)
+            (package / "notes.txt").write_text("not counted\n")
+        return trees
+
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(bench, "copy_trees", lambda root, parent, work: {
-        side: work / side for side in bench.SIDES})
+    monkeypatch.setattr(bench, "copy_trees", copy_trees)
     monkeypatch.setattr(bench, "run_session", run_session)
     monkeypatch.setattr(bench, "run_tier1", lambda tree: {})
     monkeypatch.setattr(bench, "git", lambda *args, root: "abc\n")
     assert bench.main(["--parent", "p", "--label", "t",
                        "--claim", "long:session_s"]) == 0
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["src_lines"] == {"parent": 3, "change": 2, "delta": -1}
     assert out["claim"]["workload"] == "long"
     assert out["claim"]["wins"] == "10/10" and out["claim"]["holds"]
     assert out["workloads"]["study"]["verdict"]["session_s"][

@@ -76,6 +76,16 @@ def test_simulate_refusal_names_embedding_not_process(tmp_path, capsys):
     assert "combination is invalid" in err and "exists" not in err
 
 
+def test_simulate_refuses_an_empty_mixture_before_drawing(tmp_path, capsys):
+    # N = 17 keeps no bin at or above a cutoff of 0.5.
+    out = str(tmp_path / "x.csv")
+    assert main(["simulate", "--kind", "mixture", "--N", "17",
+                 "--cutoff", "0.5", "--out", out]) == 2
+    assert capsys.readouterr().err \
+        == "error: high-pass cutoff leaves no spectral content\n"
+    assert not os.path.exists(out)
+
+
 def test_analyze_identical_series_rejects(tmp_path, table_file, capsys):
     data = _simulate(tmp_path)
     out = str(tmp_path / "report.json")
@@ -104,6 +114,9 @@ def test_analyze_report_round_trip(tmp_path, table_file):
     # (floats are emitted with round-trip repr).
     assert json.loads(json.dumps(report)) == report
     assert report["config"]["kappa"] == 5
+    # theta* is the crossing draw rounded up to the 0.01 grid.
+    out = report["outcome"]
+    assert out["threshold"] - 0.01 < out["threshold_draw"] <= out["threshold"]
     per_scale = report["per_scale"]
     for row in per_scale:
         expected = np.sign(row["f2_cross"]) * np.log(abs(row["f2_cross"]))

@@ -7,7 +7,7 @@ from dccatest.fluctuation import (BLOCK, fluctuation_analysis,
                                   hurst_estimate, rho_dcca, sign_log)
 from dccatest.series import SeriesPair, make_scales
 from dccatest.fbm import FbmParams
-from dccatest.simulate import SimSpec, gen_bfgn
+from dccatest.simulate import SimSpec, generate
 from oracles import dcca_coeff, detrend_window, long_double_fluctuations
 
 
@@ -168,7 +168,7 @@ def test_hurst_monte_carlo_oracle():
     hits = 0
     reps = 60
     for i in range(reps):
-        pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=40_000,
+        pair = generate(SimSpec(kind="bfgn", n_samples=40_000,
                                 params=spec_params, seed=321), replicate=i)
         fl = fluctuation_analysis(pair, ss)
         est = hurst_estimate(fl.f2_auto1, fl.scales)
@@ -184,7 +184,7 @@ def test_fluctuations_of_trended_input_match_long_double(shift, tol):
     # error of per-window least-squares residuals (1.24e-11 and 1.26e-9
     # of sqrt(F2_auto1 F2_auto2) at shifts 100 and 10^4).
     n = 200_000
-    base = gen_bfgn(SimSpec(kind="bfgn", n_samples=n, seed=1,
+    base = generate(SimSpec(kind="bfgn", n_samples=n, seed=1,
                             params=FbmParams(hurst1=0.7, hurst2=0.8,
                                              rho=0.5)))
     pair = SeriesPair.from_increments(base.y1 + shift, base.y2 + shift)
@@ -203,7 +203,7 @@ def test_fluctuation_stage_works_a_block_at_a_time():
     # polynomial bases made beforehand).
     n = 1 << 18
     assert n > 2 * BLOCK
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=n, seed=1,
+    pair = generate(SimSpec(kind="bfgn", n_samples=n, seed=1,
                             params=FbmParams(hurst1=0.7, hurst2=0.8,
                                              rho=0.5)))
     ss = make_scales(n, 16, n // 4, 10, 1)

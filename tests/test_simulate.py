@@ -14,10 +14,10 @@ from dccatest.simulate import (_CHUNK, SimSpec, _bfgn_exists,
                                _bfgn_from_rng, _circulant_root,
                                _embedding_length, _gen_bfgn_circulant,
                                _gen_bfgn_dense, _highpass, _signed_power_std,
-                               add_trend, gen_bfgn, gen_mixture,
-                               gen_nongaussian, generate, replicate_rng,
+                               add_trend, generate, replicate_rng,
                                spectral_root)
-from oracles import bfgn_joint_cov, whole_array_generate
+from oracles import (bfgn_joint_cov, highpass_kept_fraction,
+                     whole_array_generate)
 
 
 def _spec(kind="bfgn", n=4096, h=0.7, g=0.8, rho=0.0, eta=0.0, seed=0,
@@ -91,8 +91,19 @@ def test_spec_validation():
         _spec(h=0.4)  # long-range model domain
 
 
+def test_mixture_without_kept_frequency_is_refused():
+    # For odd N the top rfftfreq bin lies below 0.5 (8/17 at N = 17), so
+    # a cutoff of 0.5 keeps nothing: the spec is refused before any draw.
+    with pytest.raises(ValueError, match="^high-pass cutoff leaves no "
+                                         "spectral content$"):
+        _spec(kind="mixture", n=17, cutoff=0.5)
+    # Even N keeps its Nyquist bin; other kinds have no high-pass.
+    _spec(kind="mixture", n=18, cutoff=0.5)
+    _spec(kind="bfgn", n=17, cutoff=0.5)
+
+
 def test_bfgn_white_noise_case():
-    pair = gen_bfgn(_spec(h=0.5, g=0.5, n=10_000, seed=2))
+    pair = generate(_spec(h=0.5, g=0.5, n=10_000, seed=2))
     for y in (pair.y1, pair.y2):
         lag1 = np.corrcoef(y[:-1], y[1:])[0, 1]
         assert abs(lag1) < 3.0 / np.sqrt(10_000)
@@ -104,7 +115,7 @@ def test_bfgn_marginal_autocovariance_oracle():
     h, n, reps = 0.8, 512, 500
     acc = np.zeros((reps, 11))
     for i in range(reps):
-        pair = gen_bfgn(_spec(h=h, g=0.6, n=n, seed=77), replicate=i)
+        pair = generate(_spec(h=h, g=0.6, n=n, seed=77), replicate=i)
         y = pair.y1
         for k in range(11):
             acc[i, k] = np.dot(y[:n - k], y[k:]) / (n - k)
@@ -119,7 +130,7 @@ def test_bfgn_cross_correlation_oracle():
     rho, n, reps = 0.4, 4096, 100
     vals = np.empty(reps)
     for i in range(reps):
-        pair = gen_bfgn(_spec(rho=rho, n=n, seed=31), replicate=i)
+        pair = generate(_spec(rho=rho, n=n, seed=31), replicate=i)
         vals[i] = np.corrcoef(pair.y1, pair.y2)[0, 1]
     se = vals.std() / np.sqrt(reps)
     assert abs(vals.mean() - rho) <= 3 * se
@@ -202,7 +213,7 @@ def test_bfgn_rejects_invalid_combination():
     with pytest.raises(ValueError, match="combination is invalid"):
         _gen_bfgn_dense(spec.n_samples, spec.params, replicate_rng(0))
     with pytest.raises(ValueError, match="combination is invalid"):
-        gen_bfgn(spec)
+        generate(spec)
 
 
 def test_dense_fallback_draws_the_dense_pair():
@@ -267,6 +278,22 @@ def test_generate_holds_no_full_length_arrays():
         assert y.flags.owndata and len(y) == 1 << 18
 
 
+def test_nongaussian_filters_one_component_at_a_time():
+    # At N = 2^18 (L = 2^19) numpy's buffers peaked at 44.1 MiB when the
+    # whites were transformed and filtered as one (2, L) array, and at
+    # 20.3 MiB mixed and transformed in place and filtered one component
+    # at a time.
+    spec = _spec(kind="nongaussian", rho=0.5, n=1 << 18, seed=1)
+    generate(_spec(n=64))
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 2**20, peak / 2**20
+
+
 def test_nonexistent_bfgn_refused_without_dense_attempt():
     # (0.55, 0.95, rho = 0.6) violates the existence condition: the
     # circulant refusal stands instead of an O(N^3) Cholesky attempt that
@@ -289,7 +316,7 @@ def test_bfgn_dfa_slope_oracle():
     reps = 40
     ss = make_scales(40_000, 20, 2000, 10, 1)
     for i in range(reps):
-        pair = gen_bfgn(spec, replicate=i)
+        pair = generate(spec, replicate=i)
         fl = fluctuation_analysis(pair, ss)
         est = hurst_estimate(fl.f2_auto1, fl.scales)
         hits += (0.75 <= est.h_hat <= 0.85)
@@ -303,8 +330,8 @@ def test_signed_power_std_quadrature():
 
 
 def test_nongaussian_phi1_is_gaussian():
-    pair = gen_nongaussian(_spec(kind="nongaussian", n=20_000, phi=1.0,
-                                 seed=4))
+    pair = generate(_spec(kind="nongaussian", n=20_000, phi=1.0,
+                          seed=4))
     y = pair.y1
     kurt = np.mean((y - y.mean()) ** 4) / np.var(y) ** 2
     assert abs(kurt - 3.0) < 3 * np.sqrt(24.0 / 20_000) + 0.15
@@ -318,8 +345,8 @@ def test_nongaussian_phi3_heavy_tails():
     w = np.sign(g) * np.abs(g) ** 3
     kurt_w = np.mean(w ** 4) / np.var(w) ** 2
     assert kurt_w - 3.0 > 1.0
-    pair = gen_nongaussian(_spec(kind="nongaussian", n=20_000, phi=3.0,
-                                 seed=9))
+    pair = generate(_spec(kind="nongaussian", n=20_000, phi=3.0,
+                          seed=9))
     y = pair.y1
     kurt_y = np.mean((y - y.mean()) ** 4) / np.var(y) ** 2
     assert kurt_y > 3.0
@@ -330,8 +357,8 @@ def test_nongaussian_matches_fgn_spectrum():
     h, n, reps = 0.8, 2048, 200
     acc = np.zeros((reps, 6))
     for i in range(reps):
-        pair = gen_nongaussian(_spec(kind="nongaussian", h=h, n=n, phi=3.0,
-                                     seed=21), replicate=i)
+        pair = generate(_spec(kind="nongaussian", h=h, n=n, phi=3.0,
+                              seed=21), replicate=i)
         y = pair.y1
         for k in range(6):
             acc[i, k] = np.dot(y[:n - k], y[k:]) / (n - k)
@@ -348,7 +375,7 @@ def test_nongaussian_dfa_slope():
     hits = 0
     reps = 30
     for i in range(reps):
-        fl = fluctuation_analysis(gen_nongaussian(spec, replicate=i), ss)
+        fl = fluctuation_analysis(generate(spec, replicate=i), ss)
         est = hurst_estimate(fl.f2_auto1, fl.scales)
         hits += (0.72 <= est.h_hat <= 0.88)
     assert hits >= 0.9 * reps
@@ -364,9 +391,21 @@ def test_highpass_hard_truncation(rng):
     assert 0.0 < frac < 0.25
 
 
+@pytest.mark.parametrize("n", [16, 17, 1001, 4096, 4097])
+def test_highpass_kept_fraction_counts_the_kept_bins(n):
+    # The count of kept bins gives the weight-array fraction exactly, for
+    # cutoffs at 0.5, at a bin and just above one.
+    freqs = np.fft.rfftfreq(n)
+    x = np.random.default_rng(n).standard_normal(n)
+    for k in (1, len(freqs) // 3, len(freqs) - 2, len(freqs) - 1):
+        for cutoff in (freqs[k], np.nextafter(freqs[k], 1.0), 0.5):
+            assert _highpass(x, cutoff)[1] \
+                == highpass_kept_fraction(n, cutoff)
+
+
 def test_mixture_weight_zero_is_pure_bfgn():
     spec = _spec(kind="mixture", h=0.9, g=0.9, n=2048, weight=0.0, seed=6)
-    pair = gen_mixture(spec)
+    pair = generate(spec)
     lr = _bfgn_from_rng(2048, FbmParams(hurst1=0.9, hurst2=0.9, rho=0.0),
                         replicate_rng(6, 0))
     assert np.allclose(pair.y1, lr.y1, rtol=1e-12)
@@ -382,7 +421,7 @@ def test_mixture_short_range_only_cross_correlation():
     rho_large = np.empty(reps)
     ss = make_scales(8192, 16, 512, 6, 1)
     for i in range(reps):
-        pair = gen_mixture(spec, replicate=i)
+        pair = generate(spec, replicate=i)
         lag0[i] = np.corrcoef(pair.y1, pair.y2)[0, 1]
         fl = fluctuation_analysis(pair, ss)
         rho_large[i] = fl.rho[-1]
@@ -396,8 +435,8 @@ def test_mixture_scales_by_sigma():
     def mixture(sigma1, sigma2):
         params = FbmParams(hurst1=0.9, hurst2=0.9, sigma1=sigma1,
                            sigma2=sigma2)
-        return gen_mixture(SimSpec(kind="mixture", n_samples=4000,
-                                   params=params, seed=1))
+        return generate(SimSpec(kind="mixture", n_samples=4000,
+                                params=params, seed=1))
 
     unit, scaled = mixture(1.0, 1.0), mixture(5.0, 3.0)
     assert np.array_equal(scaled.y1, 5.0 * unit.y1)
@@ -405,7 +444,7 @@ def test_mixture_scales_by_sigma():
 
 
 def test_add_trend_identity_and_consistency(rng):
-    pair = gen_bfgn(_spec(n=1024, seed=1))
+    pair = generate(_spec(n=1024, seed=1))
     same = add_trend(pair, (), ())
     assert np.allclose(same.y1, pair.y1, atol=0)
     trended = add_trend(pair, (1.0, 0.5), (0.0, -0.25), target="profile")
@@ -418,7 +457,7 @@ def test_add_trend_identity_and_consistency(rng):
 
 
 def test_add_trend_detrending_interaction(rng):
-    pair = gen_bfgn(_spec(n=4096, seed=22))
+    pair = generate(_spec(n=4096, seed=22))
     ss = make_scales(4096, 20, 200, 5, 1)
     base = fluctuation_analysis(pair, ss).rho
     # Degree-1 trend on profiles: invisible to d=1 detrending.

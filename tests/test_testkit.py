@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from dccatest.asymptotics import NullCovariance, rho_null_cov
 from dccatest.series import SeriesPair, make_scales
-from dccatest.simulate import SimSpec, add_trend, gen_bfgn
+from dccatest.simulate import SimSpec, add_trend, generate
 from dccatest.fbm import FbmParams
 from dccatest.testkit import (_CHUNK, GaussianTailPool, TestConfig,
                               _branch_levels, pool_normals, stat_dcca,
@@ -237,6 +237,27 @@ def test_threshold_and_decision_agree(decision_pools, which, level, offset):
         assert stat > theta - 0.01
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4),
+       ties=st.booleans(), data=st.data())
+def test_decision_turns_at_the_crossing_draw(seed, r, ties, data):
+    # p <= level holds exactly when the statistic reaches the crossing
+    # draw: at the draw and one ulp either side, also where draws tie.
+    a = np.random.default_rng(seed).standard_normal((r, r))
+    kappa = data.draw(st.integers(1, r))
+    pool = GaussianTailPool(a @ a.T + np.eye(r), kappa, 100_000, seed)
+    if ties:
+        pool.values = np.round(pool.values, 2)
+    levels = data.draw(st.lists(st.floats(1e-5, 0.999), min_size=8,
+                                max_size=8))
+    for level in levels:
+        draw = pool.crossing(level)
+        assert draw <= pool.threshold(level)
+        for t in (np.nextafter(draw, -np.inf), draw,
+                  np.nextafter(draw, np.inf)):
+            assert (pool.p_values(t)[0] <= level) == (t >= draw)
+
+
 def test_pvalue_kappa_r_definitional():
     pool = GaussianTailPool(np.eye(2), 2, 200_000, seed=21)
     t_obs = 1.3
@@ -319,7 +340,7 @@ def test_stat_dcca_refuses_a_table_of_another_degree(tiny_table, rng):
 
 def test_stat_dcca_decision_invariances(tiny_table):
     params = FbmParams(hurst1=0.7, hurst2=0.8, rho=0.3)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
                             seed=42))
     ss = make_scales(6000, 20, 300, 6, 1)
     config = _test_config(ss)
@@ -352,7 +373,7 @@ def test_stat_dcca_decision_invariances(tiny_table):
 
 def test_stat_dcca_white_noise_warning(tiny_table):
     params = FbmParams(hurst1=0.5, hurst2=0.5)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
                             seed=3))
     ss = make_scales(6000, 20, 300, 6, 1)
     outcome = stat_dcca(pair, _test_config(ss, hurst_mode=("known", 0.5,
@@ -366,7 +387,7 @@ def test_stat_dcca_notes_an_estimate_far_below_the_floor(full_table):
     # bfGn pair: every Hurst mode notes the estimate, which auto mode
     # would otherwise raise to 0.5 without a word.
     n_samples = 20_000
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=n_samples,
+    pair = generate(SimSpec(kind="bfgn", n_samples=n_samples,
                             params=FbmParams(hurst1=0.7, hurst2=0.8),
                             seed=3))
     white = np.random.default_rng(3).standard_normal(n_samples + 1)
@@ -389,7 +410,7 @@ def test_stat_dcca_reports_ratio_floor(tiny_table):
     # Scales 10, 23, 52, 117, 265, 600: three pairs (10/265, 10/600,
     # 23/600) lie below the table's smallest ratio 6/128 and reuse it.
     params = FbmParams(hurst1=0.7, hurst2=0.8)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
                             seed=5))
     ss = make_scales(6000, 10, 600, 6, 1)
     outcome = stat_dcca(pair, _test_config(ss), tiny_table)
@@ -403,7 +424,7 @@ def test_stat_dcca_reports_hurst_range_cut(tiny_table):
     # G near 0.9 has its +0.1 range cut at the grid's top node 0.9; the
     # cut of H near 0.5 at 0.5, the model's floor, is not reported.
     params = FbmParams(hurst1=0.5, hurst2=0.9)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
                             seed=8))
     ss = make_scales(6000, 20, 300, 6, 1)
     outcome = stat_dcca(pair, _test_config(ss, hurst_mode=("auto",)),
@@ -419,7 +440,7 @@ def test_stat_dcca_default_case_reports_no_approximation(full_table):
     # ratio, and the auto ranges around H, G near 0.7, 0.8 inside its grid.
     n_samples = 20_000
     params = FbmParams(hurst1=0.7, hurst2=0.8)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=n_samples, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=n_samples, params=params,
                             seed=1))
     ss = make_scales(n_samples, 20, n_samples // 20, 10, 1)
     for mode in (("known", 0.7, 0.8), ("auto",)):
@@ -433,7 +454,7 @@ def test_stat_dcca_hurst_modes(tiny_table):
     # Correlated pair so the statistic lands in the right tail, where
     # the worst-case covariance must be conservative.
     params = FbmParams(hurst1=0.7, hurst2=0.9, rho=0.35)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
                             seed=8))
     ss = make_scales(6000, 20, 300, 6, 1)
     known = stat_dcca(pair, _test_config(ss, hurst_mode=("known", 0.7,
@@ -454,7 +475,7 @@ def test_stat_dcca_hurst_modes(tiny_table):
 
 def test_stat_dcca_kappa_below_r(tiny_table):
     params = FbmParams(hurst1=0.7, hurst2=0.8, rho=0.0)
-    pair = gen_bfgn(SimSpec(kind="bfgn", n_samples=6000, params=params,
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
                             seed=13))
     ss = make_scales(6000, 20, 300, 6, 1)
     outcome = stat_dcca(pair, _test_config(ss, kappa=ss.r - 1), tiny_table)
@@ -464,6 +485,7 @@ def test_stat_dcca_kappa_below_r(tiny_table):
     pool = GaussianTailPool(outcome.null_cov.matrix, ss.r - 1, 150_000,
                             seed=0)
     assert outcome.threshold == pool.threshold(0.05)
+    assert outcome.threshold_draw == pool.crossing(0.05)
     assert outcome.p_value == pool.p_values(outcome.statistic)[0]
 
 

@@ -16,11 +16,12 @@ suite runs on both sides, the change first.
 The file holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and the no-regression
 verdict against the metric's bound; per workload, side and operation,
-the median wall time and the largest peak RSS of its processes.  With
-``--claim WORKLOAD:METRIC`` it also holds the claim rule's verdict: the
-change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's interquartile range, with no larger
-share of failed operations.
+the median wall time and the largest peak RSS of its processes; and the
+``wc -l`` of ``src/dccatest/*.py`` in both trees and their difference.
+With ``--claim WORKLOAD:METRIC`` it also holds the claim rule's verdict:
+the change wins at least nine tenths of the pairs and its median beats
+the parent's by more than the parent's interquartile range, with no
+larger share of failed operations.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ def copy_trees(root: Path, parent: str, work: Path) -> dict:
     shutil.copy2(trees["change"] / "BENCHMARK.json",
                  trees["parent"] / "BENCHMARK.json")
     return trees
+
+
+def src_lines(tree: Path) -> int:
+    """``wc -l`` of the package's modules, ``src/dccatest/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "dccatest").glob("*.py"))
 
 
 def run_session(tree: Path, command: list, workload: str, seed: int,
@@ -242,6 +249,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         trees = copy_trees(root, args.parent, Path(work))
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         results = {w: run_pairs(trees, bench, w) for w in workloads}
         tier1 = {"command": "PYTHONPATH=src " + " ".join(
             ["python", *TIER1[1:]]), "order": "change first, then parent"}
@@ -285,6 +293,7 @@ def main(argv=None) -> int:
             "unresolved_by_spread": unresolved,
             "more_failed_operations": more_failed,
         },
+        "src_lines": {**lines, "delta": lines["change"] - lines["parent"]},
         "tier1": tier1,
         "workloads": results,
     }
