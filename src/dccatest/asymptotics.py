@@ -617,14 +617,10 @@ class NullCovariance:
     def window_counts(self) -> np.ndarray:
         return np.array([self.n_samples // n for n in self.scales])
 
-    def scaled_std(self) -> np.ndarray:
-        """sqrt(C_ii) in the sqrt([N/n_i]) rho convention."""
-        return np.sqrt(np.diag(self.matrix))
-
     def rho_bounds(self, theta: float) -> np.ndarray:
         """Per-scale rejection boundary theta * sqrt(C_ii / [N/n_i]) on
         the raw rho scale."""
-        return theta * self.scaled_std() / np.sqrt(self.window_counts)
+        return theta * np.sqrt(np.diag(self.matrix) / self.window_counts)
 
 
 def _validate_null_cov(mat: np.ndarray, what: str) -> None:

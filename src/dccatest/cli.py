@@ -167,7 +167,7 @@ def _build_report(outcome, table_name: str, table_checksum: str,
         "outcome": {
             "statistic": outcome.statistic,
             "threshold": outcome.threshold,
-            "threshold_draw": outcome.threshold_draw,
+            "threshold_stderr": outcome.threshold_stderr,
             "p_value": outcome.p_value,
             "p_stderr": outcome.p_stderr,
             "decision": outcome.decision,

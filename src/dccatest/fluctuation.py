@@ -111,8 +111,6 @@ def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSe
     f2a1 = np.empty(scale_set.r)
     f2a2 = np.empty(scale_set.r)
     scale_set.window_counts(pair.n_samples)  # validates feasibility
-    # rho divides by sqrt(F2_auto1 F2_auto2): positive factors must give
-    # a finite product that keeps double precision (a normal number).
     with np.errstate(over="ignore", invalid="ignore"):
         for i, n in enumerate(scale_set.scales):
             m = pair.n_samples // n
@@ -123,8 +121,19 @@ def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSe
                              for a in range(0, m * n, step)]).sum(axis=0)
             f2c[i], f2a1[i], f2a2[i] = sums / (m * n)
         product = f2a1 * f2a2
+    # Within 2^-40 of the profile's magnitude a fluctuation is round-off
+    # (a constant column reads 4e-16; unit noise drifting by 10^4 per
+    # sample, which detrending resolves, 6e-10 at N = 2 * 10^5).
+    for k, (x, f2a) in enumerate(((pair.x1, f2a1), (pair.x2, f2a2)), 1):
+        if np.any(np.sqrt(f2a) <= 2.0 ** -40 * np.max(np.abs(x))):
+            raise ValueError(
+                f"series {k} is constant or polynomial to round-off: its "
+                "detrended fluctuation is at most 2^-40 of its profile's "
+                "largest magnitude")
+    # rho divides by sqrt(F2_auto1 F2_auto2): positive factors must give
+    # a finite product that keeps double precision (a normal number).
     over = ~(np.isfinite(f2c) & np.isfinite(product))
-    bad = over | ((product < np.finfo(float).tiny) & (f2a1 > 0) & (f2a2 > 0))
+    bad = over | (product < np.finfo(float).tiny)
     if bad.any():
         i = bad.argmax()
         flow, size = ("over", "large") if over[i] else ("under", "small")

@@ -9,12 +9,9 @@ Its null distribution lives in one object, :class:`GaussianTailPool`,
 built from Monte Carlo draws of N(0, C): each draw is scored with the
 same statistic, so for every kappa the pool's tail above an observed
 value is that value's p-value, floored at the 1/samples Monte Carlo
-resolution.  The critical threshold theta* is read from the same sorted
-pool.
-
-Rejection is decided from the p-value (reject iff p <= level).  This
-agrees with the critical-region rule T > theta* up to the 0.01 grid
-resolution of the threshold.
+resolution.  The critical threshold theta* is the smallest value whose
+pool tail is at most the level, a draw: rejection is decided from the
+p-value, and reject iff p <= level iff T >= theta* holds exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ _POOL_THREADS = 2
 # size OpenBLAS runs on the calling thread rather than on its own worker
 # threads, which would spin on the cores the pool's threads use.
 _BLOCK_MADDS = 1 << 18
-_THETA_STEP = 0.01
 MIN_MC_SAMPLES = 100_000
 
 # Default half-width of the Hurst range around DFA estimates in 'auto'
@@ -89,12 +85,12 @@ class GaussianTailPool:
     """Monte Carlo null of the joint statistic under N(0, C).
 
     Holds the sorted kappa-th order statistic (the better of the two sign
-    branches) of ``samples`` draws, which gives the critical threshold
-    and the p-values.  Chunked generation with seeds derived from a
-    SeedSequence keeps results reproducible and independent of chunk
-    scheduling, so the chunks of a pool with more than one are filled on
-    two threads; a pool rebuilt from the same arguments gives the same
-    numbers.
+    branches) of ``samples`` draws, which gives the p-values and the
+    thresholds at which they cross each level.  Chunked generation with
+    seeds derived from a SeedSequence keeps results reproducible and
+    independent of chunk scheduling, so the chunks of a pool with more
+    than one are filled on two threads; a pool rebuilt from the same
+    arguments gives the same numbers.
 
     Given ``normals = pool_normals(samples, r, seed)``, the pool takes
     its blocks from that matrix instead of drawing them and is the same
@@ -151,33 +147,30 @@ class GaussianTailPool:
         p = count / self.samples
         return p, np.sqrt(p * (1.0 - p) / self.samples)
 
-    def crossing(self, level: float) -> float:
-        """The draw a statistic must reach for p <= level: at most c of
-        the M draws may lie above it, c the largest count with
-        c / M <= level in the decision's float comparison, so it is the
-        (c+1)-th largest draw."""
+    def _threshold_index(self, level: float) -> int:
+        """Index of theta*, the (c+1)-th largest draw: c the largest count
+        with c / M <= level in the decision's float comparison."""
         if not 1.0 / self.samples <= level < 1.0:
             raise ValueError(
                 f"level must lie in [1/{self.samples}, 1): the Monte Carlo "
-                "resolution of the p-value is 1/samples"
-            )
+                "resolution of the p-value is 1/samples")
         c = math.floor(level * self.samples)
         c = max(k for k in (c - 1, c, c + 1) if k / self.samples <= level)
-        return float(self.values[self.samples - 1 - c])
+        return self.samples - 1 - c
 
     def threshold(self, level: float) -> float:
-        """Smallest theta on the 0.01 grid with Pr-hat(> theta) <= level,
-        the inequality of the decision p <= level: the ``crossing`` draw
-        rounded up to the grid.  The grid point is compared as the
-        product k * 0.01, the value returned.
-        """
-        crossing = self.crossing(level)
-        k = math.ceil(crossing / _THETA_STEP)
-        while k * _THETA_STEP < crossing:
-            k += 1
-        while (k - 1) * _THETA_STEP >= crossing:
-            k -= 1
-        return k * _THETA_STEP
+        """theta*, the draw a statistic reaches exactly when its p-value
+        is at most ``level``."""
+        return float(self.values[self._threshold_index(level)])
+
+    def threshold_stderr(self, level: float) -> float:
+        """Monte Carlo standard error of theta*: half the gap between the
+        draws s = ceil(sqrt(M level (1 - level))) positions either side of
+        it (the binomial SD of the count above it), clipped to the pool."""
+        i = self._threshold_index(level)
+        s = math.ceil(math.sqrt(self.samples * level * (1.0 - level)))
+        return float(self.values[min(i + s, self.samples - 1)]
+                     - self.values[max(i - s, 0)]) / 2.0
 
     def p_values(self, stats):
         """(p-value, standard error) of observed statistics, elementwise
@@ -293,8 +286,8 @@ class TestOutcome:
     __test__ = False  # not a pytest class despite the name
 
     statistic: float
-    threshold: float
-    threshold_draw: float           # the pool draw theta* rounds up
+    threshold: float                # theta*: reject iff statistic >= it
+    threshold_stderr: float         # its Monte Carlo standard error
     p_value: float
     p_stderr: float
     reject: bool
@@ -378,7 +371,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
                             config.seed)
     clock.append(time.perf_counter())
     theta_star = pool.threshold(config.level)
-    crossing = pool.crossing(config.level)
+    theta_stderr = pool.threshold_stderr(config.level)
     clock.append(time.perf_counter())
     p_value, p_stderr = pool.p_values(t_obs)
 
@@ -388,7 +381,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     return TestOutcome(
         statistic=t_obs,
         threshold=theta_star,
-        threshold_draw=crossing,
+        threshold_stderr=theta_stderr,
         p_value=p_value,
         p_stderr=p_stderr,
         reject=reject,

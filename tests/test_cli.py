@@ -14,7 +14,9 @@ import pytest
 import dccatest
 from dccatest.asymptotics import load_covtab, save_covtab
 from dccatest.cli import DEFAULT_TABLE_RESOURCE, main
-from dccatest.testkit import STAGES
+from dccatest.fluctuation import HurstEstimate
+from dccatest.series import load_pair, make_scales
+from dccatest.testkit import STAGES, TestConfig, build_null_cov
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +116,91 @@ def test_analyze_report_round_trip(tmp_path, table_file):
     # (floats are emitted with round-trip repr).
     assert json.loads(json.dumps(report)) == report
     assert report["config"]["kappa"] == 5
-    # theta* is the crossing draw rounded up to the 0.01 grid.
+    # theta* is the decision boundary; its Monte Carlo standard error is
+    # a small positive number.
     out = report["outcome"]
-    assert out["threshold"] - 0.01 < out["threshold_draw"] <= out["threshold"]
+    assert (out["decision"] == "reject") == \
+        (out["statistic"] >= out["threshold"])
+    assert 0.0 < out["threshold_stderr"] < 0.05
     per_scale = report["per_scale"]
     for row in per_scale:
         expected = np.sign(row["f2_cross"]) * np.log(abs(row["f2_cross"]))
         assert row["signlog_f2_cross"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_analyze_threshold_is_the_decision_boundary(tmp_path, table_file):
+    # In every Hurst mode and for kappa r, r-1 and 1, the report rejects
+    # exactly when the statistic reaches theta*, also at a level equal to
+    # the statistic's own p-value, where theta* is the largest draw not
+    # above the statistic; each rho bound is theta* sqrt(C_ii / windows)
+    # for the covariance the mode builds.
+    data = _simulate(tmp_path, extra=("--rho", "0.1"))
+    table = load_covtab(table_file)
+    pair = load_pair(data)
+    decisions = set()
+
+    def analyze(mode, kappa, level):
+        out = str(tmp_path / "rep.json")
+        assert main(["analyze", data, "--scales", "20:200:5",
+                     "--table", table_file, "--mc-samples", "100000",
+                     "--hurst", mode, "--kappa", kappa, "--level", level,
+                     "--out", out]) == 0
+        report = json.loads(open(out).read())
+        outcome = report["outcome"]
+        decisions.add(outcome["decision"])
+        assert (outcome["decision"] == "reject") == \
+            (outcome["statistic"] >= outcome["threshold"])
+        return report
+
+    for mode in ("known:0.7,0.9", "range:0.5,0.7,0.7,0.9", "auto"):
+        for kappa in ("r", "r-1", "1"):
+            report = analyze(mode, kappa, "0.05")
+            outcome = report["outcome"]
+            at_p = analyze(mode, kappa, repr(outcome["p_value"]))
+            assert at_p["outcome"]["decision"] == "reject"
+            hurst = report["hurst"]
+            config = TestConfig(
+                scale_set=make_scales(pair.n_samples, 20, 200, 5,
+                                      table.degree),
+                hurst_mode=tuple(report["config"]["hurst_mode"]))
+            cov = build_null_cov(
+                config, pair.n_samples, table,
+                HurstEstimate(hurst["h1"], hurst["h1_stderr"]),
+                HurstEstimate(hurst["h2"], hurst["h2_stderr"]))
+            for c_ii, row in zip(np.diag(cov.matrix), report["per_scale"]):
+                assert row["rho_bound"] == pytest.approx(
+                    outcome["threshold"] * math.sqrt(c_ii / row["windows"]),
+                    rel=1e-12)
+    assert decisions == {"reject", "not-reject"}
+
+
+@pytest.mark.parametrize("column", ["ones", "zeros"])
+def test_analyze_refuses_a_constant_column(tmp_path, capsys, column):
+    # A constant column's profile is a line, which detrending removes to
+    # round-off (F2_auto about 1e-24 for the ones column): there is no
+    # fluctuation to score, and a DFA exponent of 0.099 would be noise.
+    data = tmp_path / "flat.csv"
+    noise = np.random.default_rng(0).standard_normal(5000)
+    np.savetxt(data, np.column_stack([getattr(np, column)(5000), noise]))
+    assert main(["analyze", str(data), "--hurst", "known:0.7,0.8",
+                 "--mc-samples", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: series 1 is constant or polynomial to round-off: "
+                   "its detrended fluctuation is at most 2^-40 of its "
+                   "profile's largest magnitude\n")
+
+
+def test_analyze_takes_a_linear_increment_column(tmp_path):
+    # Linear increments give a quadratic profile (DFA exponent about 2),
+    # which detrending of degree 1 leaves well above round-off.
+    data = tmp_path / "ramp.csv"
+    noise = np.random.default_rng(0).standard_normal(5000)
+    np.savetxt(data, np.column_stack([np.arange(5000.0), noise]))
+    out = str(tmp_path / "rep.json")
+    assert main(["analyze", str(data), "--hurst", "known:0.7,0.8",
+                 "--mc-samples", "100000", "--out", out]) == 0
+    assert json.loads(open(out).read())["hurst"]["h1"] > 1.9
 
 
 def test_analyze_report_times_each_stage(tmp_path, table_file):

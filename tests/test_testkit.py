@@ -150,7 +150,7 @@ def test_crit_threshold_self_consistency(tiny_table):
     cov = rho_null_cov((20, 60, 180), 4000, 0.7, 0.9, tiny_table)
     pool = GaussianTailPool(cov.matrix, 3, 300_000, seed=5)
     p, _ = pool.p_values(pool.threshold(0.05))
-    assert 0.04 <= p < 0.05
+    assert 0.04 <= p <= 0.05
 
 
 def test_crit_threshold_monotone_in_level():
@@ -161,40 +161,39 @@ def test_crit_threshold_monotone_in_level():
 
 def test_crit_threshold_below_zero():
     # kappa = r = 10 of independent coordinates: T > 0 only when all ten
-    # share a sign (probability 2^-9), so the 5 % crossing is negative.
+    # share a sign (probability 2^-9), so the 5 % theta* is negative.
     pool = GaussianTailPool(np.eye(10), 10, 200_000, seed=3)
     theta = pool.threshold(0.05)
     assert theta < 0.0
     assert pool.prob_above(theta)[0] <= 0.05
-    assert pool.prob_above(theta - 0.01)[0] > 0.05
+    assert pool.prob_above(np.nextafter(theta, -np.inf))[0] > 0.05
 
 
 def test_threshold_uses_the_decisions_inequality():
-    # level * M = 5,000 draws lie above a gap across the 1.01 grid line.
-    # A statistic in the gap has p = level and is rejected, so theta*
-    # is 1.01: the strict tail < level gave 1.02, more than one grid
-    # step above the rejected statistic.
+    # level * M = 5,000 draws lie above a gap (1.005, 1.015).  A statistic
+    # in the gap has p = level and is rejected, so theta* is the gap's
+    # lower draw: the strict tail < level gave 1.015, above the rejected
+    # statistic.
     pool = GaussianTailPool(np.eye(1), 1, 100_000, seed=0)
     pool.values = np.concatenate([np.linspace(-3.0, 1.005, 95_000),
                                   np.linspace(1.015, 4.0, 5_000)])
     theta = pool.threshold(0.05)
-    assert theta == 101 * 0.01
+    assert theta == 1.005
     stat = 1.006
     assert pool.p_values(stat)[0] <= 0.05
-    assert stat > theta - 0.01
+    assert stat >= theta
+    assert pool.p_values(np.nextafter(theta, -np.inf))[0] > 0.05
 
 
-@pytest.mark.parametrize("crossing, ceiling, theta", [
-    (0.030000000000000002, 3, 4 * 0.01),  # 3 * 0.01 lies below: k += 1
-    (0.07, 8, 7 * 0.01),                  # 7 * 0.01 reaches it: k -= 1
-])
-def test_threshold_corrects_the_rounded_grid_index(crossing, ceiling, theta):
-    # ceil(crossing / 0.01) is one grid step off in floating point, either
-    # way; theta* is still the smallest k * 0.01 at or above the crossing.
-    assert math.ceil(crossing / 0.01) == ceiling
-    pool = GaussianTailPool(np.eye(1), 1, 100_000, seed=0)
-    pool.values = np.full(100_000, crossing)
-    assert pool.threshold(0.05) == theta
+def test_threshold_stderr_matches_the_quantile_law():
+    # r = 1 with identity covariance: the statistic is |Z|, whose density
+    # at its 5 % point 1.96 is 2 phi(1.96), so the standard error of the
+    # 4 * 10^5-draw quantile is sqrt(p (1 - p) / M) / (2 phi(1.96)).
+    level, samples = 0.05, 400_000
+    pool = GaussianTailPool(np.eye(1), 1, samples, seed=4)
+    law = math.sqrt(level * (1.0 - level) / samples) \
+        / (2.0 * norm.pdf(norm.isf(level / 2.0)))
+    assert pool.threshold_stderr(level) == pytest.approx(law, rel=0.2)
 
 
 def test_factor_falls_back_to_eigenvectors_only_for_round_off():
@@ -220,29 +219,23 @@ def decision_pools():
 @given(which=st.integers(0, 2), level=st.floats(0.001, 0.5),
        offset=st.floats(-0.5, 0.5))
 def test_threshold_and_decision_agree(decision_pools, which, level, offset):
-    # theta* is the smallest 0.01 grid point whose tail is at most the
-    # level, the inequality of the decision.  For kappa = r and
-    # kappa < r: T > theta* rejects, and a rejected T lies above theta*
-    # less one grid step.
+    # theta* is the smallest value whose tail is at most the level, the
+    # inequality of the decision.  For kappa = r and kappa < r: T is
+    # rejected exactly when it reaches theta*.
     pool = decision_pools[which]
     theta = pool.threshold(level)
-    assert theta == round(theta / 0.01) * 0.01
-    assert pool.prob_above(theta)[0] <= level
-    assert pool.prob_above(theta - 0.01)[0] > level
+    assert pool.prob_above(theta)[0] <= level \
+        < pool.prob_above(np.nextafter(theta, -np.inf))[0]
     stat = theta + offset
-    reject = pool.p_values(stat)[0] <= level
-    if stat > theta:
-        assert reject
-    if reject:
-        assert stat > theta - 0.01
+    assert (pool.p_values(stat)[0] <= level) == (stat >= theta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4),
        ties=st.booleans(), data=st.data())
 def test_decision_turns_at_the_crossing_draw(seed, r, ties, data):
-    # p <= level holds exactly when the statistic reaches the crossing
-    # draw: at the draw and one ulp either side, also where draws tie.
+    # p <= level holds exactly when the statistic reaches theta*: at
+    # theta* and one ulp either side, also where draws tie.
     a = np.random.default_rng(seed).standard_normal((r, r))
     kappa = data.draw(st.integers(1, r))
     pool = GaussianTailPool(a @ a.T + np.eye(r), kappa, 100_000, seed)
@@ -251,8 +244,7 @@ def test_decision_turns_at_the_crossing_draw(seed, r, ties, data):
     levels = data.draw(st.lists(st.floats(1e-5, 0.999), min_size=8,
                                 max_size=8))
     for level in levels:
-        draw = pool.crossing(level)
-        assert draw <= pool.threshold(level)
+        draw = pool.threshold(level)
         for t in (np.nextafter(draw, -np.inf), draw,
                   np.nextafter(draw, np.inf)):
             assert (pool.p_values(t)[0] <= level) == (t >= draw)
@@ -485,7 +477,7 @@ def test_stat_dcca_kappa_below_r(tiny_table):
     pool = GaussianTailPool(outcome.null_cov.matrix, ss.r - 1, 150_000,
                             seed=0)
     assert outcome.threshold == pool.threshold(0.05)
-    assert outcome.threshold_draw == pool.crossing(0.05)
+    assert outcome.threshold_stderr == pool.threshold_stderr(0.05)
     assert outcome.p_value == pool.p_values(outcome.statistic)[0]
 
 
