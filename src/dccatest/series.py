@@ -80,6 +80,20 @@ class SeriesPair:
     def x2(self) -> np.ndarray:
         return integrate_profile(self.y2)
 
+    @cached_property
+    def unit_profiles(self) -> tuple:
+        """((profile of 2^k1 y1, k1), (profile of 2^k2 y2, k2)): each power
+        of two puts its series' largest magnitude in [1, 2).  Scaling by a
+        power of two is exact, so a statistic of these profiles, scaled
+        back, is that of x1 and x2 bit for bit wherever both are normal
+        doubles, and its magnitude stays far from overflow and underflow."""
+        out = []
+        for y in (self.y1, self.y2):
+            k = 1 - math.frexp(float(np.max(np.abs(y))))[1]
+            x = np.ldexp(y, k)
+            out.append((np.cumsum(x, out=x), k))
+        return tuple(out)
+
     @classmethod
     def from_profiles(cls, x1, x2) -> "SeriesPair":
         x1 = np.asarray(x1, dtype=float)
@@ -150,12 +164,14 @@ def make_scales(n_samples: int, n_min: int, n_max: int, r: int,
     if n_max <= n_min:
         raise InfeasibleScalesError("n_max must exceed n_min")
     raw = np.exp(np.linspace(math.log(n_min), math.log(n_max), r))
-    scales = np.unique(np.rint(raw).astype(int))
+    # A set, not np.unique, which imports numpy.ma (12 ms in a cold
+    # process).
+    scales = tuple(sorted({int(n) for n in np.rint(raw)}))
     if len(scales) < 2:
         raise InfeasibleScalesError(
             "fewer than 2 distinct scales after integer rounding"
         )
-    return ScaleSet(scales=tuple(int(n) for n in scales), degree=degree)
+    return ScaleSet(scales=scales, degree=degree)
 
 
 def _fields(line: str) -> list[str]:

@@ -5,18 +5,22 @@ that at least kappa of the r scaled coefficients sqrt([N/n_i]) rho(n_i)
 exceed lambda * sqrt(C_ii) simultaneously, on the better of the two sign
 branches; equivalently the kappa-th largest standardised value.
 
-Its null distribution lives in one object, :class:`GaussianTailPool`,
+For kappa < r its null distribution lives in :class:`GaussianTailPool`,
 built from Monte Carlo draws of N(0, C): each draw is scored with the
-same statistic, so for every kappa the pool's tail above an observed
-value is that value's p-value, floored at the 1/samples Monte Carlo
-resolution.  The critical threshold theta* is the smallest value whose
-pool tail is at most the level, a draw: rejection is decided from the
-p-value, and reject iff p <= level iff T >= theta* holds exactly.
+same statistic, so the pool's tail above an observed value is that
+value's p-value.  The critical threshold theta* is the smallest value
+whose pool tail is at most the level, a draw.  For kappa = r the tail
+is a Gaussian orthant probability, which :class:`LatticeTail`
+integrates on a randomised lattice; theta* closes a bracket around the
+level on that fixed lattice.  Either way the p-value is floored at the
+1/mc_samples resolution, rejection is decided from it, and reject iff
+p <= level iff T >= theta* holds exactly.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,7 +48,9 @@ MIN_MC_SAMPLES = 100_000
 AUTO_HURST_MARGIN = 0.1
 
 # The consecutive stages of :func:`stat_dcca` timed in ``stage_s``; the
-# statistic is timed with the null covariance.
+# statistic is timed with the null covariance.  At kappa = r, ``pool``
+# times the lattice's set-up and ``threshold`` the statistic's tail and
+# the search.
 STAGES = ("fluctuations", "hurst", "null_cov", "pool", "threshold",
           "p_value")
 
@@ -183,6 +189,148 @@ class GaussianTailPool:
         return p, se
 
 
+# The kappa = r tail's lattice: Richtmyer points per random shift, each
+# with its antithetic twin, and the bracket width that closes theta*.
+# Then, highest order first, the Chebyshev fit of erfc (relative error
+# below 1.2e-7; Numerical Recipes' erfcc) and Acklam's rational Phi^-1
+# (below 1.2e-9): central numerator and denominator, then the tails'.
+LATTICE_POINTS, LATTICE_SHIFTS, _THETA_TOL = 512, 8, 1e-6
+_ERFC = (0.17087277, -0.82215223, 1.48851587, -1.13520398, 0.27886807,
+         -0.18628806, 0.09678418, 0.37409196, 1.00002368, -1.26551223)
+_PPF = ((-39.69683028665376, 220.9460984245205, -275.9285104469687,
+         138.3577518672690, -30.66479806614716, 2.506628277459239),
+        (-54.47609879822406, 161.5858368580409, -155.6989798598866,
+         66.80131188771972, -13.28068155288572, 1.0),
+        (-7.784894002430293e-03, -0.3223964580411365, -2.400758277161838,
+         -2.549732539343734, 4.374664141464968, 2.938163982698783),
+        (7.784695709041462e-03, 0.3224671290700398, 2.445134137142996,
+         3.754408661907416, 1.0))
+
+
+def _horner(coefs, x: np.ndarray) -> np.ndarray:
+    """np.polyval(coefs, x) in one buffer, in half its time."""
+    out = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ncdf(x: np.ndarray) -> np.ndarray:
+    """Phi, elementwise."""
+    z = np.abs(x) * math.sqrt(0.5)
+    t = 1.0 / (1.0 + 0.5 * z)
+    tail = 0.5 * t * np.exp(_horner(_ERFC, t) - z * z)   # Phi(-|x|)
+    return np.where(x < 0, tail, 1.0 - tail)
+
+
+def _nppf(u: np.ndarray) -> np.ndarray:
+    """Phi^-1 on (0, 1), elementwise."""
+    q = u - 0.5
+    x = q * _horner(_PPF[0], q * q) / _horner(_PPF[1], q * q)
+    tails = np.flatnonzero(np.abs(q) > 0.5 - 0.02425)
+    s = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)[tails]))
+    x[tails] = np.copysign(_horner(_PPF[2], s) / _horner(_PPF[3], s),
+                           q[tails])
+    return x
+
+
+class LatticeTail:
+    """Pr(T > t) at kappa = r under N(0, C), by Genz's separation of
+    variables (Genz 1992; Genz and Bretz 2009): 2 Pr(all s_i < -t) for the
+    standardised draw s, less the box Pr(t < s_i < -t for all i) where the
+    two orthants overlap (t < 0).  Each is a mean over one seeded rank-1
+    lattice (Richtmyer vectors, the baker's transform, random shifts and
+    antithetic pairs), with the standard error of the per-shift means.
+    The variables take Genz-Bretz order for the orthant below 0 once, so
+    the estimate is one smooth function of t; no BLAS call sees the
+    lattice."""
+
+    def __init__(self, matrix: np.ndarray, seed: int):
+        std = np.sqrt(np.diag(matrix))
+        corr, r = matrix / np.outer(std, std), len(matrix)
+        low, y, order, rest = np.zeros((r, r)), np.zeros(r), [], list(range(r))
+        # Genz-Bretz order: each step takes the variable least likely to
+        # lie below 0, given the earlier ones at their truncated means y.
+        for i in range(r):
+            sd = np.sqrt(np.maximum(1.0 - np.sum(low[rest, :i] ** 2, axis=1),
+                                    0.0))
+            b = -(low[rest, :i] @ y[:i]) / np.maximum(sd, 1e-300)
+            k = int(np.argmin(b))
+            if not sd[k] > 0:
+                raise RuntimeError(f"covariance factorization failed (pivot "
+                                   f"{sd[k] ** 2:.3e})")
+            order.append(rest.pop(k))
+            low[order[-1], i] = sd[k]
+            low[rest, i] = (corr[rest, order[-1]]
+                            - low[rest, :i] @ low[order[-1], :i]) / sd[k]
+            y[i] = -math.exp(-b[k] ** 2 / 2) / math.sqrt(2 * math.pi) \
+                / max(0.5 * math.erfc(-b[k] * math.sqrt(0.5)), 1e-300)
+        self.factor = low[order]
+        primes = [p for p in range(2, 16 * r)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        x = np.sqrt(primes[:r - 1])[:, None, None] \
+            * np.arange(1, LATTICE_POINTS + 1)
+        # The stdlib generator: numpy.random would add its import, about
+        # 10 ms, to every cold kappa = r analysis.
+        rng = random.Random(seed)
+        shifts = np.array([rng.random() for _ in range(
+            (r - 1) * LATTICE_SHIFTS)]).reshape(r - 1, LATTICE_SHIFTS, 1)
+        w = np.abs(2.0 * ((x + shifts) % 1.0) - 1.0)
+        self.w = np.concatenate([w, 1.0 - w], axis=2).reshape(
+            r - 1, 2 * LATTICE_SHIFTS * LATTICE_POINTS)
+
+    def _box(self, a: float, b: float) -> np.ndarray:
+        """Per-shift means of Pr(a < s_i < b for all i)."""
+        low = self.factor
+        s, f = np.zeros((len(low), 2 * LATTICE_SHIFTS * LATTICE_POINTS)), 1.0
+        for i in range(len(low)):
+            d = _ncdf((a - s[i]) / low[i, i]) if a > -math.inf else 0.0
+            e = _ncdf((b - s[i]) / low[i, i]) - d
+            f = f * e
+            if i < len(low) - 1:
+                u = np.clip(d + self.w[i] * e, 1e-300, 1.0 - 2.0 ** -53)
+                s[i + 1:] += low[i + 1:, i, None] * _nppf(u)
+        return f.reshape(LATTICE_SHIFTS, -1).mean(axis=1)
+
+    def prob_above(self, t: float) -> tuple[float, float]:
+        """(estimate, standard error) of Pr(T > t)."""
+        per = 2.0 * self._box(-math.inf, -t)
+        if t < 0:
+            per -= self._box(t, -t)
+        return float(per.mean()), \
+            float(per.std(ddof=1) / math.sqrt(LATTICE_SHIFTS))
+
+    def threshold(self, level: float, t_obs: float,
+                  tail_obs: tuple[float, float]) -> tuple[float, float]:
+        """(theta*, its standard error): the upper end of a bracket
+        [lo, hi], p(lo) > level >= p(hi), of width at most _THETA_TOL, and
+        the SE of p there over the bracket's slope of p.  The statistic
+        and its ``prob_above`` open the bracket and every later point lies
+        inside it, so p(t_obs) <= level iff t_obs >= theta*.  Each next
+        point is the secant root through the last two points in
+        g = Phi^-1(p) - Phi^-1(level), else the midpoint of the bracket,
+        or, while one end is open, a step of g (the slope for r = 1)."""
+        lo, hi, prev = -math.inf, math.inf, None
+        x, (p, se) = t_obs, tail_obs
+        while True:
+            if p > level:
+                lo, p_lo = x, p
+            else:
+                hi, p_hi, se_hi = x, p, se
+            if hi - lo <= _THETA_TOL:
+                return hi, se_hi * (hi - lo) / max(p_lo - p_hi, 1e-300)
+            g = float(np.subtract(*_nppf(np.clip([p, level], 1e-300,
+                                                 1.0 - 2.0 ** -53))))
+            step = math.nan if prev is None or g == prev[1] \
+                else x - g * (x - prev[0]) / (g - prev[1])
+            if not lo < step < hi:
+                step = x + g if math.isinf(hi - lo) else (lo + hi) / 2
+            prev, x = (x, g), min(max(step, lo + _THETA_TOL / 2),
+                                  hi - _THETA_TOL / 2)
+            p, se = self.prob_above(x)
+
+
 def scaled_rho(rho: np.ndarray, window_counts: np.ndarray) -> np.ndarray:
     """Map raw coefficients to the sqrt([N/n_i]) rho(n_i) convention."""
     return np.asarray(rho, dtype=float) * np.sqrt(window_counts)
@@ -257,18 +405,20 @@ class TestConfig:
     kappa: int | None = None          # None is resolved to r
     hurst_mode: tuple = ("auto",)     # ("known", H, G) | ("range", hl, hh,
                                       #  gl, gh) | ("auto",)
-    mc_samples: int = 1_000_000
+    mc_samples: int = 1_000_000       # kappa < r pool draws; p floor 1/M
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
         if self.kappa is None:
             object.__setattr__(self, "kappa", self.scale_set.r)
         if not 1 <= self.kappa <= self.scale_set.r:
             raise ValueError(f"kappa must lie in 1..{self.scale_set.r}")
         if self.mc_samples < MIN_MC_SAMPLES:
             raise ValueError(f"mc_samples must be >= {MIN_MC_SAMPLES}")
+        if not 1.0 / self.mc_samples <= self.level < 1.0:
+            raise ValueError(
+                f"level must lie in [1/{self.mc_samples}, 1): the p-value "
+                "is floored at 1/mc_samples")
         mode = self.hurst_mode[0]
         if mode not in ("known", "range", "auto"):
             raise ValueError(f"unknown Hurst mode {mode!r}")
@@ -290,6 +440,7 @@ class TestOutcome:
     threshold_stderr: float         # its Monte Carlo standard error
     p_value: float
     p_stderr: float
+    tail: dict                      # the tail method and its size
     reject: bool
     direction: str                  # 'positive' | 'negative' | 'none'
     rho: np.ndarray
@@ -342,8 +493,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     clock = [time.perf_counter()]
     fluct = fluctuation_analysis(pair, config.scale_set)
     clock.append(time.perf_counter())
-    est1 = hurst_estimate(fluct.f2_auto1, fluct.scales)
-    est2 = hurst_estimate(fluct.f2_auto2, fluct.scales)
+    est1, est2 = (hurst_estimate(f2, fluct.scales) for f2 in fluct.hurst_f2)
     clock.append(time.perf_counter())
 
     notes = []
@@ -367,13 +517,25 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
     t_obs = test_statistic(rho_sc, cov, kappa)
     clock.append(time.perf_counter())
 
-    pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples,
-                            config.seed)
-    clock.append(time.perf_counter())
-    theta_star = pool.threshold(config.level)
-    theta_stderr = pool.threshold_stderr(config.level)
-    clock.append(time.perf_counter())
-    p_value, p_stderr = pool.p_values(t_obs)
+    if kappa == cov.r:
+        lattice = LatticeTail(cov.matrix, config.seed)
+        tail = {"method": "lattice", "points": LATTICE_POINTS,
+                "shifts": LATTICE_SHIFTS}
+        clock.append(time.perf_counter())
+        p_value, p_stderr = lattice.prob_above(t_obs)
+        theta_star, theta_stderr = lattice.threshold(
+            config.level, t_obs, (p_value, p_stderr))
+        clock.append(time.perf_counter())
+        p_value = min(max(p_value, 1.0 / config.mc_samples), 1.0)
+    else:
+        pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples,
+                                config.seed)
+        tail = {"method": "pool", "draws": config.mc_samples}
+        clock.append(time.perf_counter())
+        theta_star = pool.threshold(config.level)
+        theta_stderr = pool.threshold_stderr(config.level)
+        clock.append(time.perf_counter())
+        p_value, p_stderr = pool.p_values(t_obs)
 
     reject = p_value <= config.level
     direction = statistic_direction(rho_sc, cov, kappa) if reject else "none"
@@ -384,6 +546,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         threshold_stderr=theta_stderr,
         p_value=p_value,
         p_stderr=p_stderr,
+        tail=tail,
         reject=reject,
         direction=direction,
         rho=fluct.rho,

@@ -427,40 +427,81 @@ def test_analyze_refuses_a_table_with_an_infinite_entry(tmp_path,
     assert "NaN or infinite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale, failure", [
-    ((1e200, 1e200), "overflowed: the input magnitude is too large"),
-    ((1e160, 1.0), "overflowed: the input magnitude is too large"),
-    ((1e100, 1e100), "overflowed: the input magnitude is too large"),
-    ((1e150, 1e150), "overflowed: the input magnitude is too large"),
-    ((1e-150, 1e-150), "underflowed: the input magnitude is too small"),
-])
-def test_analyze_refuses_overflowing_fluctuations(tmp_path, capsys, scale,
-                                                  failure):
-    # Finite input whose fluctuations, or their product in rho, overflow
-    # or underflow is an internal error, never a decision: unchecked,
-    # (1e200, 1e200) rejects on a NaN statistic, (1e160, 1) and (1e100,
-    # 1e100) score rho = 0, and (1e-150, 1e-150) reads rho = inf.  The
-    # refusal is the only line on stderr, and numpy warns of nothing (the
-    # suite makes a RuntimeWarning an error).
-    data = tmp_path / "big.csv"
+@pytest.mark.parametrize("scale", [
+    (1e200, 1e200), (1e160, 1.0), (1e100, 1e100), (1e150, 1e150),
+    (1e-150, 1e-150), (1e-200, 1e-200)],
+    ids=["1e200", "1e160,1", "1e100", "1e150", "1e-150", "1e-200"])
+def test_analyze_scores_tiny_and_huge_inputs(tmp_path, capsys, scale):
+    # Each series is scaled by a power of two into [1, 2) before its
+    # profile is built, so input whose fluctuations, or their product in
+    # rho, would overflow or underflow double precision gets the report
+    # of the unscaled pair: the same decision, with rho, the statistic,
+    # the p-value and the Hurst estimates equal to rounding.  The
+    # reported fluctuations are scaled back, to inf or 0 where a double
+    # cannot hold them, and numpy warns of nothing (the suite makes a
+    # RuntimeWarning an error).
     x = np.random.default_rng(0).standard_normal((5000, 2))
-    np.savetxt(data, x * scale)
-    assert main(["analyze", str(data), "--hurst", "known:0.7,0.8",
-                 "--mc-samples", "100000"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (f"internal error: fluctuations at scale 20 {failure} "
-                   "for double precision\n")
+    reports = []
+    for name, data in (("unit", x), ("scaled", x * scale)):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        np.savetxt(path, data)
+        assert main(["analyze", str(path), "--hurst", "auto",
+                     "--mc-samples", "100000", "--out", str(out)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        reports.append(json.loads(out.read_text()))
+    unit, scaled = reports
+    assert scaled["outcome"]["decision"] == unit["outcome"]["decision"]
+    for key in ("statistic", "p_value", "threshold"):
+        assert scaled["outcome"][key] == pytest.approx(
+            unit["outcome"][key], rel=1e-9, abs=1e-12)
+    for key in ("h1", "h2"):
+        assert scaled["hurst"][key] == pytest.approx(unit["hurst"][key],
+                                                     rel=1e-9)
+    s1, s2 = scale
+    for a, b in zip(unit["per_scale"], scaled["per_scale"]):
+        assert b["rho"] == pytest.approx(a["rho"], abs=1e-12)
+        with np.errstate(over="ignore", under="ignore"):
+            for key, factor in (("f2_auto1", np.float64(s1) ** 2),
+                                ("f2_auto2", np.float64(s2) ** 2),
+                                ("f2_cross", np.float64(s1) * s2)):
+                assert b[key] == pytest.approx(a[key] * factor, rel=1e-9)
 
 
-def test_cli_import_loads_no_scipy():
+def test_fluctuations_scale_exactly_by_powers_of_two(rng):
+    # Scaling a series by 2^k moves its fluctuations by exact powers of
+    # two and leaves rho bit for bit; so does the scaling inside.
+    from dccatest.fluctuation import fluctuation_analysis
+    from dccatest.series import SeriesPair
+    y1, y2 = rng.standard_normal((2, 3000))
+    ss = make_scales(3000, 20, 150, 5, 1)
+    base = fluctuation_analysis(SeriesPair.from_increments(y1, y2), ss)
+    moved = fluctuation_analysis(
+        SeriesPair.from_increments(np.ldexp(y1, 90), np.ldexp(y2, -70)), ss)
+    assert moved.rho.tobytes() == base.rho.tobytes()
+    assert np.array_equal(moved.f2_auto1, np.ldexp(base.f2_auto1, 180))
+    assert np.array_equal(moved.f2_auto2, np.ldexp(base.f2_auto2, -140))
+    assert np.array_equal(moved.f2_cross, np.ldexp(base.f2_cross, 20))
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # A cold kappa = r analysis, not only the import, leaves scipy
+    # unloaded: its tail integrator evaluates Phi and Phi^-1 itself.  It
+    # draws no numpy random numbers, and its scales need no numpy.ma
+    # (np.unique imports it): each would add 10 ms to a cold process.
+    data = _simulate(tmp_path)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import sys, dccatest.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    probe = ("import sys, dccatest.cli; "
+             f"assert dccatest.cli.main(['analyze', {data!r}, '--hurst', "
+             "'known:0.7,0.8', '--kappa', 'r', '--out', sys.argv[1]]) == 0; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+             "'scipy' or m in ('numpy.random', 'numpy.ma')))")
+    out = subprocess.run([sys.executable, "-c", probe,
+                          str(tmp_path / "rep.json")], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["outcome"]["tail"]["method"] == "lattice"
 
 
 def test_cli_import_skips_importlib_resources():

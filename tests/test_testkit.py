@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from dccatest.asymptotics import NullCovariance, rho_null_cov
+from dccatest.asymptotics import NullCovariance, rho_null_cov, worst_case_cov
 from dccatest.series import SeriesPair, make_scales
 from dccatest.simulate import SimSpec, add_trend, generate
 from dccatest.fbm import FbmParams
-from dccatest.testkit import (_CHUNK, GaussianTailPool, TestConfig,
-                              _branch_levels, pool_normals, stat_dcca,
-                              statistic_direction)
+from dccatest.testkit import (_CHUNK, _THETA_TOL, LATTICE_POINTS,
+                              LATTICE_SHIFTS, GaussianTailPool, LatticeTail,
+                              TestConfig, _branch_levels, pool_normals,
+                              stat_dcca, statistic_direction)
 from dccatest.testkit import test_statistic as joint_statistic
 
 
@@ -250,6 +251,104 @@ def test_decision_turns_at_the_crossing_draw(seed, r, ties, data):
             assert (pool.p_values(t)[0] <= level) == (t >= draw)
 
 
+def _default_null(table, n_samples, mode=("known", 0.7, 0.8)):
+    """The null covariance of ``analyze``'s default scales."""
+    scales = make_scales(n_samples, 20, n_samples // 20, 10, 1).scales
+    if mode[0] == "known":
+        return rho_null_cov(scales, n_samples, *mode[1:], table).matrix
+    return worst_case_cov(scales, n_samples, mode[1:3], mode[3:], table).matrix
+
+
+@pytest.mark.parametrize("n_samples, t", [(20_000, 0.09),
+                                          (1_000_000, -0.2)])
+def test_lattice_tail_matches_the_pool(full_table, n_samples, t):
+    # Near the 5 % point of the shipped table's known (0.7, 0.8) null,
+    # above 0 at N = 2e4 and below it (two integrals) at N = 1e6, within
+    # 3 combined standard errors; the lattice's 3 SE is at most the
+    # 10^6-draw pool's SE there, 2.2e-4.
+    cov = _default_null(full_table, n_samples)
+    p, se = LatticeTail(cov, 0).prob_above(t)
+    q, qse = GaussianTailPool(cov, 10, 400_000, seed=1).prob_above(t)
+    assert 0.04 < q < 0.06
+    assert abs(p - q) <= 3.0 * math.hypot(se, qse)
+    assert 0.0 < 3.0 * se <= 2.2e-4
+
+
+@pytest.mark.parametrize("n_samples, t", [(20_000, 0.0907),
+                                          (1_000_000, -0.2)])
+def test_lattice_tail_matches_genz_bretz(full_table, n_samples, t):
+    # scipy's Genz-Bretz integrator at 1e-6: 2 Pr(all s_i < -t), less
+    # the box (t, -t)^r below 0.
+    from scipy.stats import multivariate_normal
+    cov = _default_null(full_table, n_samples)
+    std = np.sqrt(np.diag(cov))
+    opts = dict(mean=np.zeros(10), cov=cov / np.outer(std, std),
+                abseps=1e-6, releps=1e-6, rng=np.random.default_rng(0))
+    upper = np.full(10, -t)
+    ref = 2.0 * multivariate_normal.cdf(upper, **opts)
+    if t < 0:
+        ref -= multivariate_normal.cdf(upper, lower_limit=-upper, **opts)
+    p, se = LatticeTail(cov, 0).prob_above(t)
+    assert abs(p - ref) <= 3.0 * se + 2e-6
+
+
+def test_lattice_tail_in_one_dimension():
+    # r = 1: no lattice dimension; Pr(|s| > t) from the Chebyshev erfc,
+    # 1 below 0, and theta* the level's two-sided normal quantile.
+    tail = LatticeTail(np.eye(1) * 2.5, 3)
+    for t in (0.0, 0.5, 1.96, 4.0, 8.0):
+        p, se = tail.prob_above(t)
+        assert p == pytest.approx(2.0 * norm.sf(t), rel=3e-7)
+        assert se == 0.0
+    assert tail.prob_above(-0.7)[0] == pytest.approx(1.0, abs=1e-15)
+    p, se = tail.prob_above(0.3)
+    theta, theta_se = tail.threshold(0.05, 0.3, (p, se))
+    assert theta == pytest.approx(norm.isf(0.025), abs=2 * _THETA_TOL)
+    assert theta_se == 0.0
+
+
+def test_lattice_tail_refuses_a_singular_covariance():
+    # A variable that the earlier ones determine has no conditional
+    # spread left to integrate over: an internal error (exit 4).
+    with pytest.raises(RuntimeError, match=re.escape(
+            "covariance factorization failed (pivot 0.000e+00)")):
+        LatticeTail(np.ones((3, 3)), 0)
+
+
+@pytest.fixture(scope="module")
+def lattice_nulls(full_table):
+    a = np.random.default_rng(4).standard_normal((3, 3))
+    return [_default_null(full_table, 20_000),
+            _default_null(full_table, 1_000_000),
+            _default_null(full_table, 2_000, ("range", 0.6, 0.8, 0.7, 0.9)),
+            a @ a.T + np.eye(3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       start=st.floats(-2.0, 3.0),
+       steps=st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=5),
+       level=st.floats(1e-3, 0.3),
+       offset=st.one_of(st.floats(-1.0, 1.0), st.floats(-2e-6, 2e-6)))
+def test_lattice_tail_is_monotone_and_decides_at_theta(
+        lattice_nulls, which, seed, start, steps, level, offset):
+    # On one lattice the estimate is non-increasing in t, and a
+    # statistic is rejected (p <= level) exactly when it reaches theta*,
+    # also inside the bracket a search from afar closed: the statistic's
+    # own tail decides there.  Both searches end within the bracket
+    # width of the root.
+    tail = LatticeTail(lattice_nulls[which], seed)
+    ps = [tail.prob_above(t)[0] for t in start + np.cumsum([0.0, *steps])]
+    assert all(a >= b for a, b in zip(ps, ps[1:]))
+    far, _ = tail.threshold(level, 10.0, tail.prob_above(10.0))
+    stat = far + offset
+    p, se = tail.prob_above(stat)
+    theta, theta_se = tail.threshold(level, stat, (p, se))
+    assert (p <= level) == (stat >= theta)
+    assert abs(theta - far) <= _THETA_TOL
+    assert theta_se > 0.0
+
+
 def test_pvalue_kappa_r_definitional():
     pool = GaussianTailPool(np.eye(2), 2, 200_000, seed=21)
     t_obs = 1.3
@@ -317,7 +416,9 @@ def test_stat_dcca_identical_series(tiny_table, rng):
     assert np.allclose(outcome.rho, 1.0, atol=1e-12)
     assert outcome.reject
     assert outcome.direction == "positive"
-    assert outcome.p_value <= 1.0 / 150_000 + 1e-12
+    assert outcome.p_value == 1.0 / 150_000
+    assert outcome.tail == {"method": "lattice", "points": LATTICE_POINTS,
+                            "shifts": LATTICE_SHIFTS}
 
 
 def test_stat_dcca_refuses_a_table_of_another_degree(tiny_table, rng):
@@ -479,6 +580,23 @@ def test_stat_dcca_kappa_below_r(tiny_table):
     assert outcome.threshold == pool.threshold(0.05)
     assert outcome.threshold_stderr == pool.threshold_stderr(0.05)
     assert outcome.p_value == pool.p_values(outcome.statistic)[0]
+    assert outcome.tail == {"method": "pool", "draws": 150_000}
+
+
+def test_stat_dcca_kappa_r_takes_the_lattice_tail(tiny_table):
+    # kappa = r reads p, its error, theta* and its error from the
+    # lattice of the configured seed, with p floored at 1/mc_samples.
+    params = FbmParams(hurst1=0.7, hurst2=0.8, rho=0.1)
+    pair = generate(SimSpec(kind="bfgn", n_samples=6000, params=params,
+                            seed=13))
+    ss = make_scales(6000, 20, 300, 6, 1)
+    outcome = stat_dcca(pair, _test_config(ss, seed=4), tiny_table)
+    tail = LatticeTail(outcome.null_cov.matrix, 4)
+    p, se = tail.prob_above(outcome.statistic)
+    assert (outcome.p_value, outcome.p_stderr) == (max(p, 1 / 150_000), se)
+    assert (outcome.threshold, outcome.threshold_stderr) == \
+        tail.threshold(0.05, outcome.statistic, (p, se))
+    assert outcome.reject == (outcome.statistic >= outcome.threshold)
 
 
 def test_stat_dcca_power_at_strong_correlation(full_table):
