@@ -170,6 +170,7 @@ def _build_report(outcome, table_name: str, table_checksum: str,
             "threshold_stderr": outcome.threshold_stderr,
             "p_value": outcome.p_value,
             "p_stderr": outcome.p_stderr,
+            "p_floored": outcome.p_floored,
             "tail": outcome.tail,
             "decision": outcome.decision,
             "direction": outcome.direction,

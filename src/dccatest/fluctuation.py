@@ -48,20 +48,34 @@ def poly_basis(n: int, degree: int) -> np.ndarray:
 
 
 def _window_residuals(x: np.ndarray, n: int, degree: int) -> np.ndarray:
-    """Residual matrix ([N/n] x n) of all complete windows of a profile."""
-    m = len(x) // n
-    w = x[: m * n].reshape(m, n)
+    """Residuals (... x [N/n] x n) of all complete windows of a profile,
+    or of each row of stacked profiles (... x N); each stack's windows
+    are detrended by its own matrix products."""
+    m = x.shape[-1] // n
+    w = x[..., : m * n].reshape(*x.shape[:-1], m, n)
     basis = poly_basis(n, degree)
     return w - (w @ basis) @ basis.T
 
 
-def _residual_sums(xa: np.ndarray, xb: np.ndarray, n: int,
-                   degree: int) -> tuple[float, float, float]:
-    """Sums of the residual products ra rb, ra ra and rb rb over the
-    complete windows of two profile stretches."""
-    ra = _window_residuals(xa, n, degree)
-    rb = _window_residuals(xb, n, degree)
-    return np.sum(ra * rb), np.sum(ra * ra), np.sum(rb * rb)
+def _fluctuation_sums(x1: np.ndarray, x2: np.ndarray,
+                      scale_set: ScaleSet) -> np.ndarray:
+    """F2_cross, F2_auto1 and F2_auto2 (3 x B x r) of B stacked profile
+    pairs (B x N) at every scale.  Per scale, one pass over the block's
+    windows in stretches of at most BLOCK samples of the block (one
+    window where a window is longer), whose sums are then added."""
+    b, n_samples = x1.shape
+    out = np.empty((3, b, scale_set.r))
+    for i, n in enumerate(scale_set.scales):
+        m = n_samples // n
+        step = n * max(1, BLOCK // (b * n))
+        sums = []
+        for a in range(0, m * n, step):
+            ra = _window_residuals(x1[:, a:a + step], n, scale_set.degree)
+            rb = _window_residuals(x2[:, a:a + step], n, scale_set.degree)
+            sums.append([np.sum(u * v, axis=(-2, -1))
+                         for u, v in ((ra, rb), (ra, ra), (rb, rb))])
+        out[:, :, i] = np.array(sums).sum(axis=0) / (m * n)
+    return out
 
 
 def rho_dcca(f2_cross, f2_auto1, f2_auto2, scales=None):
@@ -113,19 +127,11 @@ def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSe
     """Compute F2_cross, both F2_auto and rho at every scale, from the
     profiles of the series scaled by powers of two (``unit_profiles``);
     the fluctuations are scaled back, rho needs no scaling back."""
-    f2c = np.empty(scale_set.r)
-    f2a1 = np.empty(scale_set.r)
-    f2a2 = np.empty(scale_set.r)
     scale_set.window_counts(pair.n_samples)  # validates feasibility
     (x1, k1), (x2, k2) = pair.unit_profiles
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, n in enumerate(scale_set.scales):
-            m = pair.n_samples // n
-            step = n * max(1, BLOCK // n)
-            sums = np.array([_residual_sums(x1[a:a + step], x2[a:a + step],
-                                            n, scale_set.degree)
-                             for a in range(0, m * n, step)]).sum(axis=0)
-            f2c[i], f2a1[i], f2a2[i] = sums / (m * n)
+        f2c, f2a1, f2a2 = _fluctuation_sums(x1[None], x2[None],
+                                            scale_set)[:, 0]
         product = f2a1 * f2a2
     # Within 2^-40 of the profile's magnitude a fluctuation is round-off
     # (a constant column reads 4e-16; unit noise drifting by 10^4 per
@@ -155,6 +161,16 @@ def fluctuation_analysis(pair: SeriesPair, scale_set: ScaleSet) -> FluctuationSe
     return FluctuationSet(scale_set=scale_set, f2_cross=back[0],
                           f2_auto1=back[1], f2_auto2=back[2], rho=rho,
                           hurst_f2=tuple(fit))
+
+
+def rho_block(pairs: list[SeriesPair], scale_set: ScaleSet) -> np.ndarray:
+    """rho (B x r) of B pairs of one length, each row bit for bit that of
+    ``fluctuation_analysis``: their profiles are stacked and detrended
+    together, scale by scale."""
+    profiles = [np.stack([pair.unit_profiles[k][0] for pair in pairs])
+                for k in (0, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rho_dcca(*_fluctuation_sums(*profiles, scale_set))
 
 
 @dataclass(frozen=True)

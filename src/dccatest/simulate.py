@@ -211,46 +211,49 @@ def _circulant_root(n: int, params: FbmParams):
     return length, lam11, lam22, lam12
 
 
-def _half_spectrum(rng: np.random.Generator, half: int) -> np.ndarray:
-    """One component's L = 2 half normals on its L/2 + 1 bins: the first
-    L/2 + 1 are the real parts of bins 0..L/2, the other L/2 - 1 the
-    imaginary parts of bins 1..L/2 - 1.  Bins 0 and L/2 stay real with
-    unit variance; interior bins are scaled to E|xi|^2 = 1."""
-    xi = np.empty(half + 1, dtype=complex)
-    for a, b in _chunks(0, half + 1):
-        xi.real[a:b] = rng.standard_normal(b - a)
-    xi.imag[[0, half]] = 0.0
-    for a, b in _chunks(1, half):
-        xi.imag[a:b] = rng.standard_normal(b - a)
-    xi[1:half] *= math.sqrt(0.5)
+def _half_spectra(rngs, half: int) -> np.ndarray:
+    """One component's half spectra of a block, a row per generator: each
+    draws L = 2 half normals on its L/2 + 1 bins, the first L/2 + 1 the
+    real parts of bins 0..L/2, the other L/2 - 1 the imaginary parts of
+    bins 1..L/2 - 1.  Bins 0 and L/2 stay real with unit variance;
+    interior bins are scaled to E|xi|^2 = 1."""
+    xi = np.empty((len(rngs), half + 1), dtype=complex)
+    for row, rng in zip(xi, rngs):
+        for a, b in _chunks(0, half + 1):
+            row.real[a:b] = rng.standard_normal(b - a)
+        row.imag[[0, half]] = 0.0
+        for a, b in _chunks(1, half):
+            row.imag[a:b] = rng.standard_normal(b - a)
+    xi[:, 1:half] *= math.sqrt(0.5)
     return xi
 
 
-def _gen_bfgn_circulant(n: int, params: FbmParams,
-                        rng: np.random.Generator, root=None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The pair from ``root``, or from the root of (n, params), which is
-    then dropped before the inverse transforms."""
+def _gen_bfgn_circulant(n: int, params: FbmParams, rngs, root=None
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One pair per generator of ``rngs``, from ``root``, or from the root
+    of (n, params), which is then dropped before the inverse transforms.
+    The block's half spectra are mixed and transformed as (B, L/2 + 1)
+    arrays, so a block of one holds what a single pair needs."""
     length, b11, b22, b12 = root or _circulant_root(n, params)
     half = length // 2
-    xi1 = _half_spectrum(rng, half)
-    xi2 = _half_spectrum(rng, half)
+    xi1 = _half_spectra(rngs, half)
+    xi2 = _half_spectra(rngs, half)
     # The two half spectra are mixed bin by bin, in place.
     for a, b in _chunks(0, half + 1):
-        x1, x2 = xi1[a:b], xi2[a:b]
+        x1, x2 = xi1[:, a:b], xi2[:, a:b]
         w2 = np.conj(b12[a:b]) * x1
         w2 += b22[a:b] * x2
         np.multiply(b11[a:b], x1, out=x1)
         x1 += b12[a:b] * x2
         x2[:] = w2
-    del b11, b22, b12
+    del b11, b22, b12, x1, x2, w2
     # The Hermitian extension of xi makes the inverse transform real;
-    # norm="ortho" is sqrt(L) * irfft.  Only the first n samples are
-    # kept, in arrays of their own.
-    y1 = np.fft.irfft(xi1, length, norm="ortho")[:n].copy()
+    # norm="ortho" is sqrt(L) * irfft.  Only the first n samples of each
+    # row are kept, in arrays of their own.
+    y1 = [row[:n].copy() for row in np.fft.irfft(xi1, length, norm="ortho")]
     del xi1
-    y2 = np.fft.irfft(xi2, length, norm="ortho")[:n].copy()
-    return y1, y2
+    y2 = [row[:n].copy() for row in np.fft.irfft(xi2, length, norm="ortho")]
+    return list(zip(y1, y2))
 
 
 def _bfgn_exists(params: FbmParams) -> bool:
@@ -279,7 +282,7 @@ def _bfgn_from_rng(n: int, params: FbmParams, rng: np.random.Generator,
     the process exists.  A refusal says which of the two holds: the
     process does not exist, or it does and N is above the cap."""
     try:
-        y1, y2 = _gen_bfgn_circulant(n, params, rng, root)
+        (y1, y2), = _gen_bfgn_circulant(n, params, [rng], root)
     except ValueError as exc:
         if not _bfgn_exists(params):
             raise ValueError(
@@ -421,6 +424,17 @@ def spectral_root(spec: SimSpec):
         return _circulant_root(spec.n_samples, _root_params(spec))
     except ValueError:
         return None
+
+
+def generate_block(spec: SimSpec, replicates, root=None) -> list[SeriesPair]:
+    """``generate(spec, i, root)`` for each i of ``replicates``, in order.
+    bfGn pairs from a shared ``root`` are drawn as one block: each from
+    its own stream, mixed and transformed together."""
+    if spec.kind != "bfgn" or root is None:
+        return [generate(spec, i, root) for i in replicates]
+    rngs = [replicate_rng(spec.seed, i) for i in replicates]
+    return [SeriesPair.from_increments(y1, y2) for y1, y2 in
+            _gen_bfgn_circulant(spec.n_samples, spec.params, rngs, root)]
 
 
 def generate(spec: SimSpec, replicate: int = 0, root=None) -> SeriesPair:

@@ -11,17 +11,18 @@ pair of the short-range mixtures takes the ``SimSpec`` defaults.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 
 import numpy as np
 
 from .asymptotics import CovTable, rho_null_cov, worst_case_cov
 from .fbm import FbmParams
-from .fluctuation import fluctuation_analysis
+from .fluctuation import BLOCK, rho_block
 from .series import make_scales
-from .simulate import SimSpec, generate, spectral_root
-from .testkit import GaussianTailPool, pool_normals, scaled_rho, \
-    test_statistic
+from .simulate import SimSpec, generate_block, spectral_root
+from .testkit import THREADS, GaussianTailPool, LatticeTail, floored_p, \
+    pool_normals, scaled_rho, test_statistic
 
 STUDY_NAMES = ("calibration", "nongaussian", "shortrange", "upperbound",
                "power", "speed")
@@ -39,35 +40,53 @@ POWER_SCALES = (20, 2000)
 SPEED_SCALES = (20, 1000)
 
 
+def _block_replicates(n_samples: int) -> int:
+    """Replicates per block: as many as hold at most BLOCK / 2 samples
+    per series (3 at N = 10^4, 1 from N = 16,385 on), so that a block's
+    arrays stay near 2.3 MiB at N = 10^4 and a calibration process stays
+    below the peak of an upperbound one."""
+    return max(1, BLOCK // (2 * n_samples))
+
+
 def _rho_vectors(kind: str, params: FbmParams, n_samples: int, scale_set,
                  replicates: int, seed: int, phi: float = 3.0,
                  progress=None) -> np.ndarray:
     """Scaled rho vectors of simulated pairs, one row per replicate; the
     replicate streams derive from (seed, index) and share one spectral
-    root."""
+    root.  Replicates are drawn and detrended in blocks
+    (``_block_replicates``), THREADS blocks at a time; each row is bit for
+    bit the one a replicate alone would give, and ``progress`` sees 1..R
+    in order, from the calling thread, as each block completes."""
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     counts = scale_set.window_counts(n_samples)
     spec = SimSpec(kind=kind, n_samples=n_samples, params=params, phi=phi,
                    seed=seed)
     root = spectral_root(spec)
+    size = _block_replicates(n_samples)
+    blocks = [range(a, min(a + size, replicates))
+              for a in range(0, replicates, size)]
+
+    def block_rho(block):
+        return rho_block(generate_block(spec, block, root), scale_set)
+
     out = np.empty((replicates, scale_set.r))
-    for i in range(replicates):
-        fl = fluctuation_analysis(generate(spec, i, root), scale_set)
-        out[i] = scaled_rho(fl.rho, counts)
-        if progress is not None:
-            progress(i + 1, replicates)
+    with ThreadPoolExecutor(THREADS) as executor:
+        for block, rho in zip(blocks, executor.map(block_rho, blocks)):
+            out[block.start:block.stop] = scaled_rho(rho, counts)
+            if progress is not None:
+                for i in block:
+                    progress(i + 1, replicates)
     return out
 
 
-def _known_null(table: CovTable, n_samples: int, scale_range, hurst,
-                mc_samples: int, seed: int):
-    """Scales, exact null covariance and Monte Carlo pool of a study
-    whose Hurst exponents are known by construction."""
+def _known_null(table: CovTable, n_samples: int, scale_range, hurst):
+    """Scales and exact null covariance of a study whose Hurst exponents
+    are known by construction.  The studies build their Monte Carlo pool
+    after their replicates, so that the two do not hold memory at once."""
     scale_set = make_scales(n_samples, *scale_range, R, table.degree)
-    cov = rho_null_cov(scale_set.scales, n_samples, *hurst, table)
-    pool = GaussianTailPool(cov.matrix, scale_set.r, mc_samples, seed)
-    return scale_set, cov, pool
+    return scale_set, rho_null_cov(scale_set.scales, n_samples, *hurst,
+                                   table)
 
 
 def _scored_rows(pool: GaussianTailPool, vectors: np.ndarray, cov,
@@ -96,10 +115,11 @@ def null_calibration(table: CovTable, *, kind: str = "bfgn",
     exponents are known by construction), then all replicates are scored
     against the shared Monte Carlo null in one call.
     """
-    scale_set, cov, pool = _known_null(table, n_samples, CALIBRATION_SCALES,
-                                       HURST, mc_samples, seed)
+    scale_set, cov = _known_null(table, n_samples, CALIBRATION_SCALES,
+                                 HURST)
     vectors = _rho_vectors(kind, FbmParams(*HURST), n_samples, scale_set,
                            replicates, seed, phi=phi, progress=progress)
+    pool = GaussianTailPool(cov.matrix, cov.r, mc_samples, seed)
     rows, reject = _scored_rows(pool, vectors, cov, level)
     return {
         "study": "calibration" if kind == "bfgn" else kind,
@@ -122,14 +142,15 @@ def shortrange_robustness(table: CovTable, *, n_samples: int = 20_000,
     the per-scale baseline tests each |rho(n_i)| at level/r against the
     univariate normal quantile and rejects when any scale fires.
     """
-    scale_set, cov, pool = _known_null(table, n_samples, SHORTRANGE_SCALES,
-                                       SHORTRANGE_HURST, mc_samples, seed)
+    scale_set, cov = _known_null(table, n_samples, SHORTRANGE_SCALES,
+                                 SHORTRANGE_HURST)
     z_bonf = NormalDist().inv_cdf(1.0 - level / (2.0 * scale_set.r))
     diag_std = np.sqrt(np.diag(cov.matrix))
 
     vectors = _rho_vectors("mixture", FbmParams(*SHORTRANGE_HURST),
                            n_samples, scale_set, replicates, seed,
                            progress=progress)
+    pool = GaussianTailPool(cov.matrix, cov.r, mc_samples, seed)
     rows, joint = _scored_rows(pool, vectors, cov, level,
                                reject="reject_joint")
     bonf = np.any(np.abs(vectors) / diag_std > z_bonf, axis=1)
@@ -213,20 +234,22 @@ def power_study(table: CovTable, *, rhos=(0.0, 0.05, 0.1, 0.2),
     Replicate streams are shared across rho values (common random
     numbers), which smooths the power curve comparison.
     """
-    scale_set, cov, pool = _known_null(table, n_samples, POWER_SCALES, HURST,
-                                       mc_samples, seed)
-    rows = []
-    rates = {}
+    scale_set, cov = _known_null(table, n_samples, POWER_SCALES, HURST)
     total = len(rhos) * replicates
+    vectors = []
     for k, rho in enumerate(rhos):
         def tick(i, _reps, base=k * replicates):
             if progress is not None:
                 progress(base + i, total)
 
-        vectors = _rho_vectors("bfgn", FbmParams(*HURST, rho=float(rho)),
-                               n_samples, scale_set, replicates, seed,
-                               progress=tick)
-        rho_rows, reject = _scored_rows(pool, vectors, cov, level,
+        vectors.append(_rho_vectors(
+            "bfgn", FbmParams(*HURST, rho=float(rho)), n_samples, scale_set,
+            replicates, seed, progress=tick))
+    pool = GaussianTailPool(cov.matrix, cov.r, mc_samples, seed)
+    rows = []
+    rates = {}
+    for rho, rho_vectors in zip(rhos, vectors):
+        rho_rows, reject = _scored_rows(pool, rho_vectors, cov, level,
                                         rho=float(rho))
         rows += rho_rows
         rates[float(rho)] = int(reject.sum()) / replicates
@@ -247,7 +270,8 @@ def speed_study(table: CovTable, *, n_samples: int = 20_000,
     surrogate-simulation p-value for the same observed pair.
 
     Both sides start from the observed rho vector; the tabulated side
-    assembles the null covariance and draws Gaussian samples, the
+    assembles the null covariance and takes the p-value as ``analyze``
+    does at kappa = r (the lattice tail, floored at 1/mc_samples), the
     surrogate side simulates full pairs and recomputes their statistics.
     """
     # The observed pair is simulated first, so both sides are timed in a
@@ -257,10 +281,10 @@ def speed_study(table: CovTable, *, n_samples: int = 20_000,
     observed = _rho_vectors("bfgn", params, n_samples, scale_set, 1, seed)[0]
 
     t0 = time.perf_counter()
-    _, cov, pool = _known_null(table, n_samples, SPEED_SCALES, HURST,
-                               mc_samples, seed + 1)
+    _, cov = _known_null(table, n_samples, SPEED_SCALES, HURST)
     t_obs = test_statistic(observed, cov, cov.r)
-    p_tab = pool.p_values(t_obs)[0]
+    p_tab = floored_p(LatticeTail(cov.matrix, seed + 1).prob_above(t_obs),
+                      mc_samples)[0]
     tabulated_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -33,9 +33,10 @@ from .fluctuation import FluctuationSet, HurstEstimate, fluctuation_analysis, \
 from .series import ScaleSet, SeriesPair
 
 _CHUNK = 1 << 17
-# Chunks are filled on this many threads; numpy's generators, products
-# and sorts release the interpreter lock.
-_POOL_THREADS = 2
+# A pool's chunks, and a study's blocks of replicates, run on this many
+# threads; numpy's generators, transforms, products and sorts release
+# the interpreter lock.
+THREADS = 2
 # Rows of one block: at most 2**18 multiply-adds per matrix product, a
 # size OpenBLAS runs on the calling thread rather than on its own worker
 # threads, which would spin on the cores the pool's threads use.
@@ -139,7 +140,7 @@ class GaussianTailPool:
         if len(rngs) == 1:
             fill(0)
         else:
-            with ThreadPoolExecutor(_POOL_THREADS) as executor:
+            with ThreadPoolExecutor(THREADS) as executor:
                 list(executor.map(fill, range(len(rngs))))
         values.sort()
         self.values = values
@@ -331,6 +332,15 @@ class LatticeTail:
             p, se = self.prob_above(x)
 
 
+def floored_p(tail: tuple[float, float],
+              mc_samples: int) -> tuple[float, bool]:
+    """The reported p-value of a tail (estimate, standard error): the
+    estimate floored at the 1/mc_samples resolution and capped at 1, and
+    whether the floor set it."""
+    floor = 1.0 / mc_samples
+    return min(max(float(tail[0]), floor), 1.0), bool(tail[0] < floor)
+
+
 def scaled_rho(rho: np.ndarray, window_counts: np.ndarray) -> np.ndarray:
     """Map raw coefficients to the sqrt([N/n_i]) rho(n_i) convention."""
     return np.asarray(rho, dtype=float) * np.sqrt(window_counts)
@@ -440,6 +450,7 @@ class TestOutcome:
     threshold_stderr: float         # its Monte Carlo standard error
     p_value: float
     p_stderr: float
+    p_floored: bool                 # p is the 1/mc_samples floor
     tail: dict                      # the tail method and its size
     reject: bool
     direction: str                  # 'positive' | 'negative' | 'none'
@@ -522,11 +533,10 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         tail = {"method": "lattice", "points": LATTICE_POINTS,
                 "shifts": LATTICE_SHIFTS}
         clock.append(time.perf_counter())
-        p_value, p_stderr = lattice.prob_above(t_obs)
-        theta_star, theta_stderr = lattice.threshold(
-            config.level, t_obs, (p_value, p_stderr))
+        tail_obs = lattice.prob_above(t_obs)
+        theta_star, theta_stderr = lattice.threshold(config.level, t_obs,
+                                                     tail_obs)
         clock.append(time.perf_counter())
-        p_value = min(max(p_value, 1.0 / config.mc_samples), 1.0)
     else:
         pool = GaussianTailPool(cov.matrix, kappa, config.mc_samples,
                                 config.seed)
@@ -535,7 +545,9 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         theta_star = pool.threshold(config.level)
         theta_stderr = pool.threshold_stderr(config.level)
         clock.append(time.perf_counter())
-        p_value, p_stderr = pool.p_values(t_obs)
+        tail_obs = pool.prob_above(t_obs)
+    p_value, p_floored = floored_p(tail_obs, config.mc_samples)
+    p_stderr = float(tail_obs[1])
 
     reject = p_value <= config.level
     direction = statistic_direction(rho_sc, cov, kappa) if reject else "none"
@@ -546,6 +558,7 @@ def stat_dcca(pair: SeriesPair, config: TestConfig,
         threshold_stderr=theta_stderr,
         p_value=p_value,
         p_stderr=p_stderr,
+        p_floored=p_floored,
         tail=tail,
         reject=reject,
         direction=direction,

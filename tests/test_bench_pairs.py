@@ -135,3 +135,31 @@ def test_per_process_table_reads_each_runs_results(bench, tmp_path):
                      "peak_rss_mb_max": 122.0},
         "analyze": {"rounds": 4, "seconds_median": 2.0,
                     "peak_rss_mb_max": 84.0}}
+
+
+TIER1_OUT = """\
+........................................................................ [ 97%]
+...........                                                              [100%]
+============================= slowest 5 durations ==============================
+21.91s setup    tests/test_acceptance.py::test_criterion_4_null_calibration
+14.18s call     tests/test_acceptance.py::test_criterion_10_mc_stability_and_speed
+8.06s call     tests/test_acceptance.py::test_criterion_8_worst_case_dominance
+0.50s teardown tests/test_cli.py::test_x[a b]
+0.02s call     tests/test_series.py::test_y
+1 failed, 370 passed in 86.29s (0:01:26)
+"""
+
+
+def test_tier1_result_keeps_the_slowest_items(bench):
+    result = bench.tier1_result(TIER1_OUT)
+    assert (result["passed"], result["failed"], result["errors"]) == \
+        (370, 1, 0)
+    assert result["wall_s"] == 86.29
+    assert result["slowest"][0] == {
+        "item": "tests/test_acceptance.py::test_criterion_4_null_calibration",
+        "phase": "setup", "seconds": 21.91}
+    assert [row["phase"] for row in result["slowest"]] == \
+        ["setup", "call", "call", "teardown", "call"]
+    assert result["slowest"][3]["item"] == "tests/test_cli.py::test_x[a b]"
+    assert "--durations=5" in bench.TIER1
+    assert bench.tier1_result("")["slowest"] == []

@@ -122,6 +122,7 @@ def test_analyze_report_round_trip(tmp_path, table_file):
     assert (out["decision"] == "reject") == \
         (out["statistic"] >= out["threshold"])
     assert 0.0 < out["threshold_stderr"] < 0.05
+    assert out["p_floored"] is (out["p_value"] == 1 / 150_000)
     per_scale = report["per_scale"]
     for row in per_scale:
         expected = np.sign(row["f2_cross"]) * np.log(abs(row["f2_cross"]))

@@ -144,7 +144,8 @@ def test_bfgn_dense_and_circulant_agree_in_distribution():
     circ = np.empty(reps)
     for i in range(reps):
         dense[i] = _gen_bfgn_dense(n, params, replicate_rng(1, i))[0][0]
-        circ[i] = _gen_bfgn_circulant(n, params, replicate_rng(2, i))[0][0]
+        circ[i] = _gen_bfgn_circulant(n, params,
+                                      [replicate_rng(2, i)])[0][0][0]
     assert ks_2samp(dense, circ).pvalue > 0.01
 
 
@@ -177,7 +178,8 @@ def test_circulant_embedding_exact_covariance(n, params):
     # (eta != 0 makes the cross block asymmetric), and every draw must
     # reach the output.
     length = _embedding_length(n)
-    cols = [np.concatenate(_gen_bfgn_circulant(n, params, _UnitDraws(k)))
+    cols = [np.concatenate(
+        _gen_bfgn_circulant(n, params, [_UnitDraws(k)])[0])
             for k in range(2 * length)]
     m = np.column_stack(cols)
     target = bfgn_joint_cov(n, params)
@@ -209,7 +211,7 @@ def test_bfgn_rejects_invalid_combination():
     spec = _spec(h=0.55, g=0.95, rho=1.0, n=256)
     with pytest.raises(ValueError, match="embedding of length 512 is not "
                                          "positive semidefinite$"):
-        _gen_bfgn_circulant(spec.n_samples, spec.params, replicate_rng(0))
+        _gen_bfgn_circulant(spec.n_samples, spec.params, [replicate_rng(0)])
     with pytest.raises(ValueError, match="combination is invalid"):
         _gen_bfgn_dense(spec.n_samples, spec.params, replicate_rng(0))
     with pytest.raises(ValueError, match="combination is invalid"):
@@ -223,7 +225,7 @@ def test_dense_fallback_draws_the_dense_pair():
     params = FbmParams(hurst1=0.857, hurst2=0.911, rho=0.249, eta=0.315)
     assert _bfgn_exists(params)
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        _gen_bfgn_circulant(1000, params, replicate_rng(0, 0))
+        _gen_bfgn_circulant(1000, params, [replicate_rng(0, 0)])
     pair = _bfgn_from_rng(1000, params, replicate_rng(0, 0))
     y1, y2 = _gen_bfgn_dense(1000, params, replicate_rng(0, 0))
     assert pair.y1.tobytes() == y1.tobytes()

@@ -14,8 +14,8 @@ from dccatest.simulate import SimSpec, add_trend, generate
 from dccatest.fbm import FbmParams
 from dccatest.testkit import (_CHUNK, _THETA_TOL, LATTICE_POINTS,
                               LATTICE_SHIFTS, GaussianTailPool, LatticeTail,
-                              TestConfig, _branch_levels, pool_normals,
-                              stat_dcca, statistic_direction)
+                              TestConfig, _branch_levels, floored_p,
+                              pool_normals, stat_dcca, statistic_direction)
 from dccatest.testkit import test_statistic as joint_statistic
 
 
@@ -597,6 +597,33 @@ def test_stat_dcca_kappa_r_takes_the_lattice_tail(tiny_table):
     assert (outcome.threshold, outcome.threshold_stderr) == \
         tail.threshold(0.05, outcome.statistic, (p, se))
     assert outcome.reject == (outcome.statistic >= outcome.threshold)
+
+
+def test_floored_p_says_when_the_floor_set_p():
+    assert floored_p((0.0, 0.0), 10) == (0.1, True)
+    assert floored_p((0.09, 0.01), 10) == (0.1, True)
+    assert floored_p((0.1, 0.01), 10) == (0.1, False)
+    assert floored_p((0.5, 0.01), 10) == (0.5, False)
+    assert floored_p((1.0 + 1e-12, 0.0), 10) == (1.0, False)
+
+
+@pytest.mark.parametrize("rho, floored", [(0.4, True), (0.0, False)])
+@pytest.mark.parametrize("below_r", [0, 1])
+def test_outcome_says_when_p_sits_on_its_floor(full_table, rho, floored,
+                                               below_r):
+    # The seed-3 reference pairs at N = 2 * 10^4 with analyze's defaults
+    # (scales 20..1000, auto mode, 10^6 draws): at rho = 0.4 the tail of
+    # the statistic lies below 1/M at kappa r and r - 1, at rho = 0 not.
+    n = 20_000
+    pair = generate(SimSpec(kind="bfgn", n_samples=n, seed=3,
+                            params=FbmParams(hurst1=0.7, hurst2=0.8,
+                                             rho=rho)))
+    ss = make_scales(n, 20, 1000, 10, 1)
+    outcome = stat_dcca(pair, TestConfig(scale_set=ss, kappa=ss.r - below_r),
+                        full_table)
+    assert outcome.p_floored is floored
+    assert (outcome.p_value == 1e-6) is floored
+    assert outcome.reject is floored
 
 
 def test_stat_dcca_power_at_strong_correlation(full_table):

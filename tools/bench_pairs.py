@@ -16,8 +16,10 @@ suite runs on both sides, the change first.
 The file holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and the no-regression
 verdict against the metric's bound; per workload, side and operation,
-the median wall time and the largest peak RSS of its processes; and the
-``wc -l`` of ``src/dccatest/*.py`` in both trees and their difference.
+the median wall time and the largest peak RSS of its processes; per
+side, the tier-1 counts, wall time and five slowest items
+(``--durations=5``); and the ``wc -l`` of ``src/dccatest/*.py`` in both
+trees and their difference.
 With ``--claim WORKLOAD:METRIC`` it also holds the claim rule's verdict:
 the change wins at least nine tenths of the pairs and its median beats
 the parent's by more than the parent's interquartile range, with no
@@ -43,7 +45,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q",
-         "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+         "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=5"]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -126,14 +129,25 @@ def run_tier1(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True,
                           text=True)
-    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
+    return tier1_result(proc.stdout)
+
+
+def tier1_result(stdout: str) -> dict:
+    """Counts, wall time and the five slowest items (phase and seconds)
+    of a tier-1 run's pytest output."""
+    summary = stdout.strip().splitlines()[-1] if stdout.strip() else ""
     counts = {kind: int(n) for n, kind in
               re.findall(r"(\d+) (passed|failed|errors?)", summary)}
     wall = re.search(r" in ([\d.]+)s", summary)
+    slowest = [{"item": item, "phase": phase, "seconds": float(seconds)}
+               for seconds, phase, item in re.findall(
+                   r"^([\d.]+)s (setup|call|teardown) +(.+?) *$", stdout,
+                   re.MULTILINE)]
     return {"summary": summary, "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0),
             "errors": counts.get("error", 0) + counts.get("errors", 0),
-            "wall_s": float(wall.group(1)) if wall else None}
+            "wall_s": float(wall.group(1)) if wall else None,
+            "slowest": slowest}
 
 
 def spread(runs: list) -> dict:
